@@ -141,7 +141,7 @@ pub(crate) struct SearchRun {
 /// first-stage concession: the first estimate round always completes its
 /// first claim chunk before the deadline engages
 /// ([`estimate::DeadlinePolicy::AfterFirstClaim`]), so a zero time budget
-/// still yields a usable best-so-far mapping while a seeded first stage
+/// still yields a usable best-so-far mapping while a large first stage
 /// can no longer overshoot a few-millisecond budget by a whole stage —
 /// the graceful-degradation contract of
 /// [`ScheduleOptions::time_budget`](crate::ScheduleOptions).

@@ -29,7 +29,6 @@ pub(crate) mod beam;
 pub(crate) mod candidates;
 pub(crate) mod compose;
 pub(crate) mod estimate;
-pub(crate) mod warm;
 
 use std::time::Instant;
 

@@ -130,17 +130,16 @@ fn zero_time_budget_returns_best_so_far() {
     assert_eq!(full.results()[0].mapping, unbudgeted.mapping);
 }
 
-/// The deadline contract on a *warm-started* layer: the second layer of
-/// a shape class starts from cross-layer seeds, so its first stage does
-/// non-trivial work — but the deadline only engages once the first claim
-/// chunk completes, so even a zero budget must yield a usable,
-/// deterministic best-so-far instead of `BudgetExhausted` or an empty
-/// result.
+/// The deadline contract on a session's *second* layer: the session
+/// already holds another layer's cache context, and the deadline only
+/// engages once the first claim chunk completes, so even a zero budget
+/// must yield a usable, deterministic best-so-far instead of
+/// `BudgetExhausted` or an empty result.
 #[test]
-fn zero_budget_on_seeded_layer_returns_deterministic_best_so_far() {
+fn zero_budget_on_second_layer_returns_deterministic_best_so_far() {
     let arch = presets::conventional();
-    let a = conv("seed_src", 32, 16, 14, 3);
-    let b = conv("seed_dst", 32, 16, 7, 3); // same shape class → seeded
+    let a = conv("first", 32, 16, 14, 3);
+    let b = conv("second", 32, 16, 7, 3);
 
     // Work bound: a full search of `b` on a session that already saw `a`.
     let full = Scheduler::new(SunstoneConfig::default());
@@ -156,7 +155,7 @@ fn zero_budget_on_seeded_layer_returns_deterministic_best_so_far() {
         let opts = ScheduleOptions::new().time_budget(Duration::ZERO);
         let outcome = session
             .schedule_with(&b, &arch, &opts)
-            .expect("zero budget on a seeded layer must not error");
+            .expect("zero budget on a second layer must not error");
         assert!(!outcome.is_complete(), "zero budget cannot complete the search");
         assert!(!outcome.results().is_empty(), "best-so-far carries a usable mapping");
         let spent = session.cache_stats().misses - before;
@@ -226,14 +225,8 @@ fn bounded_cache_evicts_lru_context_and_keeps_results_identical() {
     // A cap of one entry cannot hold two contexts: scheduling `b` must
     // evict `a`'s whole context (LRU), but never the in-use context —
     // each search keeps its own entries, so results stay bit-identical.
-    // Warm starts off: shapes `a` and `b` share a shape class, and
-    // cross-layer seeding would add warm entries on top of the exact
-    // per-context counts this test pins down.
-    let capped = Scheduler::new(SunstoneConfig {
-        max_cache_entries: 1,
-        warm_starts: false,
-        ..SunstoneConfig::default()
-    });
+    let capped =
+        Scheduler::new(SunstoneConfig { max_cache_entries: 1, ..SunstoneConfig::default() });
     let a_out = capped.schedule(&a, &arch).expect("schedules");
     assert_eq!(
         capped.cache_stats().entries,
@@ -265,7 +258,6 @@ fn bounded_cache_evicts_lru_context_and_keeps_results_identical() {
     // An ample cap retains both contexts side by side.
     let roomy = Scheduler::new(SunstoneConfig {
         max_cache_entries: (a_entries + b_entries) * 2,
-        warm_starts: false,
         ..SunstoneConfig::default()
     });
     roomy.schedule(&a, &arch).expect("schedules");

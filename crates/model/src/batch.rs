@@ -1,9 +1,9 @@
 //! Structure-of-arrays batch evaluation of prefixed candidates.
 //!
 //! One estimate round of the level-by-level search prices hundreds of
-//! candidates that share a decided prefix ([`MappingPrefix`]). The scalar
-//! path ([`CostModel::evaluate_prefixed_with`]) walks tensors × storing
-//! pairs per candidate; this module transposes that loop nest: the
+//! candidates that share a decided prefix ([`MappingPrefix`]). A
+//! per-candidate walk would loop tensors × storing pairs per candidate;
+//! this module transposes that loop nest: the
 //! candidate set is decomposed once into per-candidate *columns* —
 //! CSR-flattened suffix loops, suffix resident tiles, spatial-product
 //! ladders, and per-tensor refill aggregates — and each storing pair is
@@ -16,17 +16,20 @@
 //! are hoisted out of the candidate loop entirely, leaving a branch-free
 //! multiply–accumulate over the aggregate columns that the compiler can
 //! autovectorize. Pairs that still straddle the frontier fall back to the
-//! scalar per-pair kernel, candidate by candidate.
+//! per-pair kernel, candidate by candidate. A run of one candidate goes
+//! through the same code at width 1.
 //!
 //! # Bit-identity
 //!
 //! Every specialized inner loop performs, per candidate, exactly the
-//! floating-point operations of the scalar kernels in the same
+//! floating-point operations of the per-pair kernels in the same
 //! association order — only the iteration order *across* candidates
-//! changes, and candidates never mix arithmetically. The result of
-//! [`CostModel::evaluate_prefixed_batch`] is therefore bit-identical to
-//! calling [`CostModel::evaluate_prefixed_with`] per candidate (asserted
-//! exhaustively by the `batch_matches_scalar_*` tests).
+//! changes, and candidates never mix arithmetically — and the prefix
+//! composition only regroups exact integer products ([`crate::prefix`]).
+//! The result of [`CostModel::evaluate_prefixed_batch`] is therefore
+//! bit-identical to the monolithic
+//! [`CostModel::evaluate_unchecked_with`] per candidate (asserted by the
+//! `batch_matches_scalar_*` tests).
 
 use sunstone_arch::{Level, LevelId};
 use sunstone_ir::{DimVec, TensorDesc};
@@ -141,17 +144,17 @@ impl CostModel<'_> {
         BatchEvalScratch::default()
     }
 
-    /// Batch form of
-    /// [`evaluate_prefixed_with`](Self::evaluate_prefixed_with): prices
-    /// every mapping in `mappings` against the shared `prefix` over
+    /// Prices every mapping in `mappings` against the shared `prefix` over
     /// structure-of-arrays tables and calls `emit(i, report)` once per
-    /// candidate, in candidate order.
+    /// candidate, in candidate order. Any width works, one included.
     ///
     /// Every mapping's levels `0..=prefix.boundary()` must equal the
-    /// levels `prefix` was built from (the caller's contract, as in the
-    /// scalar method). Each emitted report is **bit-identical** to the
-    /// scalar evaluation of the same mapping — batching reorders work
-    /// across candidates, never within one.
+    /// levels `prefix` was built from (the caller's contract; they are not
+    /// re-read). Each emitted report is **bit-identical** to
+    /// [`evaluate_unchecked_with`](Self::evaluate_unchecked_with) on the
+    /// same mapping within the model's exactness envelope (integer
+    /// loop-factor products below 2⁵³) — batching reorders work across
+    /// candidates, never within one.
     pub fn evaluate_prefixed_batch(
         &self,
         prefix: &MappingPrefix,
@@ -480,9 +483,10 @@ mod tests {
             .collect()
     }
 
-    /// The SoA batch evaluation is bit-identical to the scalar prefixed
-    /// path for random candidate sets, at every boundary, with and
-    /// without halo credit, on a multi-level spatial hierarchy.
+    /// The SoA batch evaluation is bit-identical to the monolithic
+    /// evaluation for random candidate sets (and for a single candidate),
+    /// at every boundary, with and without halo credit, on a multi-level
+    /// spatial hierarchy.
     #[test]
     fn batch_matches_scalar_on_simba() {
         let w = conv2d();
@@ -500,19 +504,18 @@ mod tests {
             let model = CostModel::with_options(&w, &arch, &binding, options);
             let mut scalar_scratch = model.scratch();
             let mut batch_scratch = model.batch_scratch();
-            for boundary in 0..arch.num_levels() {
-                let cands = random_candidates(&base, &arch, boundary, &mut rng, 17);
+            for (boundary, width) in (0..arch.num_levels()).flat_map(|b| [(b, 17), (b, 1)]) {
+                let cands = random_candidates(&base, &arch, boundary, &mut rng, width);
                 let prefix = model.prefix_of(&base, boundary);
                 let mut seen = 0usize;
                 model.evaluate_prefixed_batch(&prefix, &cands, &mut batch_scratch, |i, got| {
                     assert_eq!(i, seen, "emit order is candidate order");
                     seen += 1;
-                    let want =
-                        model.evaluate_prefixed_with(&prefix, &cands[i], &mut scalar_scratch);
+                    let want = model.evaluate_unchecked_with(&cands[i], &mut scalar_scratch);
                     assert_eq!(
                         want, got,
-                        "batch diverges from scalar at boundary {boundary}, candidate {i} \
-                         ({options:?})"
+                        "batch diverges from scalar at boundary {boundary}, width {width}, \
+                         candidate {i} ({options:?})"
                     );
                 });
                 assert_eq!(seen, cands.len());
@@ -532,12 +535,15 @@ mod tests {
         let model = CostModel::new(&w, &arch, &binding);
         let mut scalar_scratch = model.scratch();
         let mut batch_scratch = model.batch_scratch();
-        for boundary in 0..arch.num_levels() {
-            let cands = random_candidates(&base, &arch, boundary, &mut rng, 9);
+        for (boundary, width) in (0..arch.num_levels()).flat_map(|b| [(b, 9), (b, 1)]) {
+            let cands = random_candidates(&base, &arch, boundary, &mut rng, width);
             let prefix = model.prefix_of(&base, boundary);
             model.evaluate_prefixed_batch(&prefix, &cands, &mut batch_scratch, |i, got| {
-                let want = model.evaluate_prefixed_with(&prefix, &cands[i], &mut scalar_scratch);
-                assert_eq!(want, got, "batch diverges at boundary {boundary}, candidate {i}");
+                let want = model.evaluate_unchecked_with(&cands[i], &mut scalar_scratch);
+                assert_eq!(
+                    want, got,
+                    "batch diverges at boundary {boundary}, width {width}, candidate {i}"
+                );
             });
         }
     }

@@ -179,36 +179,10 @@ impl<'a> CostModel<'a> {
     /// `0..=boundary` — as composable per-storing-pair contributions.
     ///
     /// Candidates sharing those levels are then priced with
-    /// [`evaluate_prefixed_with`](Self::evaluate_prefixed_with), which
+    /// [`evaluate_prefixed_batch`](Self::evaluate_prefixed_batch), which
     /// walks only the undecided suffix.
     pub fn prefix_of(&self, mapping: &Mapping, boundary: usize) -> crate::MappingPrefix {
         crate::prefix::build_prefix(self.workload, self.arch, &self.chains, mapping, boundary)
-    }
-
-    /// [`evaluate_unchecked_with`](Self::evaluate_unchecked_with), pricing
-    /// the decided prefix from `prefix` instead of re-walking it.
-    ///
-    /// The mapping's levels `0..=prefix.boundary()` must equal the levels
-    /// `prefix` was built from (they are not re-read). The result is
-    /// bit-identical to the full evaluation within the model's exactness
-    /// envelope (integer loop-factor products below 2⁵³): only products
-    /// are regrouped, never sums.
-    pub fn evaluate_prefixed_with(
-        &self,
-        prefix: &crate::MappingPrefix,
-        mapping: &Mapping,
-        scratch: &mut EvalScratch,
-    ) -> CostReport {
-        let counts = crate::prefix::counts_with_prefix(
-            self.workload,
-            self.arch,
-            self.options,
-            &self.chains,
-            prefix,
-            mapping,
-            &mut scratch.counts,
-        );
-        self.report_with(mapping, &counts, scratch)
     }
 
     fn report_with(

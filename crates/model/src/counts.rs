@@ -25,27 +25,18 @@ pub fn storage_chains(workload: &Workload, arch: &ArchSpec, binding: &Binding) -
         .collect()
 }
 
-/// Reusable buffers for [`AccessCounts::compute_reusing`] and the
-/// prefix-incremental pass: keep one per evaluation thread so the count
-/// pass allocates only its output table.
+/// Reusable buffers for [`AccessCounts::compute_reusing`]: keep one per
+/// evaluation thread so the count pass allocates only its output table.
 #[derive(Debug, Clone)]
 pub struct CountScratch {
     nest: FlatNest,
-    pub(crate) resident: Vec<DimVec>,
-    pub(crate) s_above: Vec<f64>,
-    /// Flat loops of the undecided (candidate) mapping suffix, reused by
-    /// [`crate::prefix`].
-    pub(crate) cand: Vec<FlatLoop>,
+    resident: Vec<DimVec>,
+    s_above: Vec<f64>,
 }
 
 impl Default for CountScratch {
     fn default() -> Self {
-        CountScratch {
-            nest: FlatNest::empty(),
-            resident: Vec::new(),
-            s_above: Vec::new(),
-            cand: Vec::new(),
-        }
+        CountScratch { nest: FlatNest::empty(), resident: Vec::new(), s_above: Vec::new() }
     }
 }
 
@@ -155,16 +146,6 @@ impl AccessCounts {
     /// The raw row-major `[arch_pos][tensor]` tables (counts, crossings).
     pub(crate) fn rows(&self) -> (&[TensorLevelCounts], &[f64]) {
         (&self.per, &self.crossings)
-    }
-
-    /// Assembles a table from raw rows (the prefix-incremental pass in
-    /// [`crate::prefix`] fills the rows itself).
-    pub(crate) fn from_parts(
-        n_tensors: usize,
-        per: Vec<TensorLevelCounts>,
-        crossings: Vec<f64>,
-    ) -> Self {
-        AccessCounts { n_tensors, per, crossings }
     }
 }
 

@@ -17,7 +17,8 @@
 //! - storing pairs fully inside the prefix reuse their cached tiles and
 //!   footprints; pairs straddling the boundary extend the cached partial
 //!   union tile with the candidate's spatial loops; pairs fully above the
-//!   boundary run the ordinary [`count_pair`] over the suffix loops only,
+//!   boundary run the ordinary [`count_pair`](crate::counts::count_pair)
+//!   over the suffix loops only,
 //! - the refill/reuse-run analysis composes algebraically: the innermost
 //!   reuse run either closes inside the prefix (`closed`, the candidate
 //!   contributes all its temporal factors as refills and the driving loop
@@ -28,17 +29,17 @@
 //! the full pass computes — integer-valued `f64` products are exact below
 //! 2⁵³ under any association, and all sums are accumulated in the same
 //! order into the same tables — so the result is bit-identical to
-//! [`AccessCounts::compute_reusing`] within the model's own documented
-//! exactness envelope.
+//! [`AccessCounts::compute_reusing`](crate::AccessCounts::compute_reusing)
+//! within the model's own documented exactness envelope. The batch
+//! evaluator ([`crate::batch`]) is the one consumer: it prices every
+//! candidate of a prefix, a run of one included, through these pieces.
 
 use sunstone_arch::{ArchSpec, Level, LevelId};
 use sunstone_ir::{DimSet, DimVec, TensorDesc, TensorId, Workload};
 use sunstone_mapping::{FlatLoop, LoopKind, Mapping, MappingLevel};
 
-use crate::counts::{
-    add_crossings, count_pair, halo_volume, reuse_suffix_start, CountScratch, TensorLevelCounts,
-};
-use crate::{AccessCounts, ModelOptions};
+use crate::counts::{add_crossings, halo_volume, reuse_suffix_start, TensorLevelCounts};
+use crate::ModelOptions;
 
 /// The cached, composable cost contribution of one (tensor, storing-level
 /// pair) whose child boundary lies inside the decided prefix.
@@ -81,7 +82,7 @@ pub(crate) struct LevelCost {
 /// state: everything the count pass derives from mapping levels
 /// `0..=boundary`. Build once per (stage, parent) with
 /// [`crate::CostModel::prefix_of`], evaluate many candidates with
-/// [`crate::CostModel::evaluate_prefixed_with`].
+/// [`crate::CostModel::evaluate_prefixed_batch`].
 #[derive(Debug, Clone)]
 pub struct MappingPrefix {
     pub(crate) boundary: usize,
@@ -301,112 +302,6 @@ fn level_cost(
     }
 }
 
-/// The prefix-incremental counterpart of `AccessCounts::compute_reusing`:
-/// mapping levels `0..=prefix.boundary()` must equal the levels the prefix
-/// was built from (the caller's contract; only the suffix is read).
-pub(crate) fn counts_with_prefix(
-    workload: &Workload,
-    arch: &ArchSpec,
-    options: ModelOptions,
-    chains: &[Vec<usize>],
-    prefix: &MappingPrefix,
-    mapping: &Mapping,
-    scratch: &mut CountScratch,
-) -> AccessCounts {
-    let n_levels = arch.num_levels();
-    let n_tensors = workload.num_tensors();
-    let b = prefix.boundary;
-    debug_assert_eq!(prefix.ndims, workload.num_dims());
-    debug_assert!(b < n_levels);
-
-    // Candidate (undecided-suffix) flat loops, outermost-first.
-    scratch.cand.clear();
-    flatten_range(mapping, b + 1, n_levels - 1, &mut scratch.cand);
-
-    // Suffix resident tiles, extending the cached prefix accumulation.
-    scratch.resident.clear();
-    let mut acc = prefix.resident[b].clone();
-    for q in b + 1..n_levels {
-        for (t, &f) in acc.iter_mut().zip(mapping.level(q).factors()) {
-            *t *= f;
-        }
-        scratch.resident.push(acc.clone());
-    }
-
-    // Full spatial-product scan: suffix computed, prefix composed from the
-    // cached mid products (exact integer-product regrouping).
-    scratch.s_above.clear();
-    scratch.s_above.resize(n_levels + 1, 1.0);
-    for q in (b + 1..n_levels).rev() {
-        let own: f64 = match arch.level(LevelId(q)) {
-            Level::Spatial(_) => mapping.level(q).factors().iter().map(|&f| f as f64).product(),
-            Level::Memory(_) => 1.0,
-        };
-        scratch.s_above[q] = scratch.s_above[q + 1] * own;
-    }
-    let s_cand = scratch.s_above[b + 1];
-    for q in 0..=b {
-        scratch.s_above[q] = s_cand * prefix.s_mid[q];
-    }
-
-    let mut per = vec![TensorLevelCounts::default(); n_levels * n_tensors];
-    let mut crossings = vec![0.0f64; n_levels * n_tensors];
-    let (cand, resident_cand, s_above) = (&scratch.cand, &scratch.resident, &scratch.s_above);
-    let mut union_scratch = DimVec::ones(prefix.ndims);
-
-    let mut pair_idx = 0usize;
-    for t in workload.tensor_ids() {
-        let tensor = workload.tensor(t);
-        let indexing = tensor.indexing_dims();
-        let agg = CandAgg::of(cand, indexing);
-        let mut child: i64 = -1;
-        for &p in &chains[t.index()] {
-            let s_p = s_above[p + 1];
-            let s_c = if child < 0 { s_above[0] } else { s_above[child as usize + 1] };
-            if child <= b as i64 {
-                let lc = &prefix.pairs[pair_idx];
-                pair_idx += 1;
-                debug_assert!(lc.tensor == t && lc.child == child && lc.p == p);
-                count_prefix_pair(
-                    workload,
-                    arch,
-                    options,
-                    lc,
-                    tensor,
-                    indexing,
-                    cand,
-                    &agg,
-                    s_p,
-                    s_c,
-                    &mut union_scratch,
-                    &mut per,
-                    &mut crossings,
-                );
-            } else {
-                let child_tile = &resident_cand[child as usize - b - 1];
-                count_pair(
-                    workload,
-                    arch,
-                    options,
-                    t,
-                    tensor,
-                    child,
-                    p,
-                    cand,
-                    child_tile,
-                    s_p,
-                    s_c,
-                    &mut per,
-                    &mut crossings,
-                );
-            }
-            child = p as i64;
-        }
-    }
-
-    AccessCounts::from_parts(n_tensors, per, crossings)
-}
-
 /// Prices one cached prefix pair for a concrete candidate suffix; mirrors
 /// `count_pair`'s arithmetic with the prefix portions read from the cache.
 #[allow(clippy::too_many_arguments)]
@@ -515,8 +410,9 @@ mod tests {
         }
     }
 
-    /// Prefixed evaluation is bit-identical to the full pass at every
-    /// possible boundary, with and without halo credit.
+    /// Prefixed evaluation of a single candidate (a width-1 batch) is
+    /// bit-identical to the full pass at every possible boundary, with and
+    /// without halo credit.
     #[test]
     fn prefixed_matches_full_at_every_boundary() {
         let w = conv2d();
@@ -534,14 +430,23 @@ mod tests {
         for options in [ModelOptions::default(), ModelOptions { halo_reuse: false }] {
             let model = CostModel::with_options(&w, &arch, &binding, options);
             let full = model.evaluate_unchecked(&m);
-            let mut scratch = model.scratch();
+            let mut scratch = model.batch_scratch();
             for boundary in 0..arch.num_levels() {
                 let prefix = model.prefix_of(&m, boundary);
-                let prefixed = model.evaluate_prefixed_with(&prefix, &m, &mut scratch);
-                assert_eq!(
-                    full, prefixed,
-                    "prefixed evaluation diverges at boundary {boundary} ({options:?})"
+                let mut emitted = 0;
+                model.evaluate_prefixed_batch(
+                    &prefix,
+                    std::slice::from_ref(&m),
+                    &mut scratch,
+                    |_, prefixed| {
+                        emitted += 1;
+                        assert_eq!(
+                            full, prefixed,
+                            "prefixed evaluation diverges at boundary {boundary} ({options:?})"
+                        );
+                    },
                 );
+                assert_eq!(emitted, 1);
             }
         }
     }

@@ -252,7 +252,7 @@ proptest! {
 
     /// Prefix-incremental evaluation is bit-identical to the full nest
     /// walk: caching levels `0..=boundary` with `prefix_of` and pricing
-    /// the suffix with `evaluate_prefixed_with` reproduces
+    /// the suffix with a width-1 `evaluate_prefixed_batch` reproduces
     /// `evaluate_unchecked` exactly, at every boundary, on random valid
     /// mappings.
     #[test]
@@ -262,12 +262,18 @@ proptest! {
         let mapping = random_valid_structure(&w, seed);
         let model = CostModel::new(&w, &arch, &binding);
         let full = model.evaluate_unchecked(&mapping);
-        let mut scratch = model.scratch();
+        let mut scratch = model.batch_scratch();
         for boundary in 0..arch.num_levels() {
             let prefix = model.prefix_of(&mapping, boundary);
-            let prefixed = model.evaluate_prefixed_with(&prefix, &mapping, &mut scratch);
+            let mut prefixed = Vec::new();
+            model.evaluate_prefixed_batch(
+                &prefix,
+                std::slice::from_ref(&mapping),
+                &mut scratch,
+                |_, r| prefixed.push(r),
+            );
             prop_assert_eq!(
-                &full, &prefixed,
+                std::slice::from_ref(&full), prefixed.as_slice(),
                 "prefixed evaluation diverges at boundary {}", boundary
             );
         }

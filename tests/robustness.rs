@@ -138,16 +138,15 @@ fn degenerate_grid_never_panics() {
     }
 }
 
-/// The cross-layer warm-start path — prime-multiset distance over dim
-/// sizes, per-level gcd clamp during seed translation — runs on the
-/// *sequence* of layers a session sees, so it needs its own degenerate
-/// grid: same-class size variants at 2^40 scale, huge primes, and
-/// all-ones shapes scheduled back-to-back on one seeded session.
+/// Session state — the shared estimate cache with its LRU contexts and
+/// enumeration memos, the worker pool — outlives each call, so a
+/// *sequence* of degenerate layers needs its own grid: same-structure
+/// size variants at 2^40 scale, huge primes, and all-ones shapes
+/// scheduled back-to-back on one session.
 #[test]
-fn warm_start_seeding_over_degenerate_sequences_never_panics() {
-    // Same structure as `enormous_dims` (so the shapes share a class and
-    // the seeder fires), sizes chosen to stress the distance and clamp
-    // arithmetic: 2^40 → mixed primes-times-powers → coprime.
+fn back_to_back_degenerate_shapes_on_one_session_never_panic() {
+    // Same structure as `enormous_dims`, sizes chosen to stress the
+    // factor arithmetic: 2^40 → mixed primes-times-powers → coprime.
     let enormous_variant = |name: &str, m: u64, n: u64| {
         let mut b = Workload::builder(name);
         let md = b.dim("M", m);
@@ -182,11 +181,11 @@ fn warm_start_seeding_over_degenerate_sequences_never_panics() {
         ("tiny_l1", tiny_l1()),
     ];
     for (aname, arch) in &archs {
-        // One session per arch: warm starts are on by default, so each
-        // layer seeds from the previous ones in its shape class.
+        // One session per arch: each layer runs on the cache and pool
+        // the previous layers left behind.
         let session = Scheduler::new(SunstoneConfig::default());
         for w in &sequence {
-            let tag = format!("warm/{aname}/{}", w.name());
+            let tag = format!("sequence/{aname}/{}", w.name());
             let outcome = panic::catch_unwind(AssertUnwindSafe(|| session.schedule(w, arch)));
             match outcome {
                 Ok(Ok(_)) => {}
