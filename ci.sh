@@ -51,6 +51,12 @@ echo "== release degenerate-input smoke =="
 # wraps instead, so the no-panic grid must also hold there.
 cargo test -q --release -p sunstone-repro --test robustness
 
+echo "== release serve suite =="
+# The serve suite's deadline contract depends on search speed, which
+# differs by an order of magnitude between the debug and release
+# profiles; the suite must hold in both.
+cargo test --release -q -p sunstone-serve
+
 echo "== bench smoke: quick schedule bench =="
 cargo run --release -p sunstone-bench --bin bench_schedule -- quick --out BENCH_schedule_quick.json
 python3 - <<'EOF'

@@ -164,6 +164,12 @@ fn main() {
     }
     let cache = scheduler.cache_stats();
     println!("  SoA batches: {:.1} cand/dispatch", cache.avg_batch_width());
+    println!(
+        "  estimate cache: {} entries, {:.1} MiB ({:.0} B/entry)",
+        cache.entries,
+        cache.bytes as f64 / (1024.0 * 1024.0),
+        cache.bytes as f64 / cache.entries.max(1) as f64
+    );
 
     // Estimate throughput: raw analytic-model evaluations per second on a
     // representative layer's best mapping (no cache in the loop). Best of
@@ -299,7 +305,9 @@ fn main() {
     let _ = writeln!(json, "  \"cache\": {{");
     let _ = writeln!(json, "    \"batches\": {},", cache.batches);
     let _ = writeln!(json, "    \"avg_batch_width\": {:.2},", cache.avg_batch_width());
-    let _ = writeln!(json, "    \"batched_fraction\": {:.4}", cache.batched_fraction());
+    let _ = writeln!(json, "    \"batched_fraction\": {:.4},", cache.batched_fraction());
+    let _ = writeln!(json, "    \"entries\": {},", cache.entries);
+    let _ = writeln!(json, "    \"bytes\": {}", cache.bytes);
     let _ = writeln!(json, "  }},");
     match speedup {
         Some(s) => {

@@ -7,7 +7,8 @@
 //! searching — per memory level, how many candidates each principle
 //! considered and kept (ordering trie, tiling maximal frontier, spatial
 //! unrolling, dedup, beam cut) and how the memoized estimate cache fared
-//! — including the SoA batch width of the estimate rounds.
+//! — including the SoA batch width of the estimate rounds, and where each
+//! stage's wall time went, phase by phase.
 //!
 //! Run with `cargo run --release -p sunstone-bench --bin prune_stats`
 //! (append `quick` for a subsampled run).
@@ -53,6 +54,30 @@ fn print_level_table(stats: &SearchStats) {
     }
 }
 
+/// Per-level phase wall times in milliseconds (`LevelStats::phases`).
+fn print_phase_table(stats: &SearchStats) {
+    println!(
+        "    {:<5} {:>9} {:>7} {:>7} {:>7} {:>7} {:>7} {:>7} {:>8}   (ms)",
+        "level", "enumerate", "build", "dedup", "probe", "model", "publish", "select", "total"
+    );
+    let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;
+    for l in &stats.levels {
+        let p = &l.phases;
+        println!(
+            "    L{:<4} {:>9.2} {:>7.2} {:>7.2} {:>7.2} {:>7.2} {:>7.2} {:>7.2} {:>8.2}",
+            l.level,
+            ms(p.enumerate),
+            ms(p.build),
+            ms(p.dedup),
+            ms(p.probe),
+            ms(p.model),
+            ms(p.publish),
+            ms(p.select),
+            ms(p.total()),
+        );
+    }
+}
+
 fn merge_into(total: &mut SearchStats, s: &SearchStats) {
     total.probed += s.probed;
     total.modeled += s.modeled;
@@ -80,6 +105,7 @@ fn merge_into(total: &mut SearchStats, s: &SearchStats) {
         tl.beam.merge(&l.beam);
         tl.cache_hits += l.cache_hits;
         tl.cache_misses += l.cache_misses;
+        tl.phases.merge(&l.phases);
     }
 }
 
@@ -105,6 +131,7 @@ fn main() {
             dominated,
         );
         print_level_table(&r.stats);
+        print_phase_table(&r.stats);
         merge_into(&mut total, &r.stats);
     }
 
@@ -114,6 +141,7 @@ fn main() {
     let probes = total.cache_hits + total.cache_misses;
     println!("\n  ALL LAYERS");
     print_level_table(&total);
+    print_phase_table(&total);
     println!(
         "\n  ordering trie:    {:>8} explored → {:>6} kept ({:.1}% pruned)",
         ordering.considered,

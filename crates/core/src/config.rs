@@ -53,10 +53,15 @@ pub enum Objective {
 impl Objective {
     /// Extracts the objective value from a cost report.
     pub fn of(self, report: &sunstone_model::CostReport) -> f64 {
+        self.of_totals(&report.totals())
+    }
+
+    /// Extracts the objective value from a report's totals.
+    pub fn of_totals(self, totals: &sunstone_model::CostTotals) -> f64 {
         match self {
-            Objective::Edp => report.edp,
-            Objective::Energy => report.energy_pj,
-            Objective::Delay => report.delay_cycles,
+            Objective::Edp => totals.edp,
+            Objective::Energy => totals.energy_pj,
+            Objective::Delay => totals.delay_cycles,
         }
     }
 }

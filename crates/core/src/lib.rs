@@ -112,7 +112,7 @@ pub use config::{
 pub use error::ScheduleError;
 pub use ordering::{OrderingCandidate, OrderingTrie, ReuseKind};
 pub use progress::{CancelToken, ProgressEvent, ProgressSink};
-pub use search::{CacheStats, LevelStats, PruneCounter, SearchStats};
+pub use search::{CacheStats, LevelStats, PhaseTimes, PruneCounter, SearchStats};
 pub use session::{
     BatchOptions, BatchOutcome, BatchResult, BatchStats, CallOptions, ScheduleOptions,
     ScheduleOutcome, ScheduleResult, Scheduler,
@@ -136,7 +136,7 @@ pub mod prelude {
     };
     pub use crate::error::ScheduleError;
     pub use crate::progress::{CancelToken, ProgressEvent, ProgressSink};
-    pub use crate::search::{CacheStats, LevelStats, PruneCounter, SearchStats};
+    pub use crate::search::{CacheStats, LevelStats, PhaseTimes, PruneCounter, SearchStats};
     pub use crate::session::{
         BatchOptions, BatchOutcome, BatchResult, BatchStats, CallOptions, ScheduleOptions,
         ScheduleOutcome, ScheduleResult, Scheduler,

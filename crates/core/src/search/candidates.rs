@@ -10,7 +10,7 @@
 
 use sunstone_arch::LevelId;
 use sunstone_ir::{DimId, DimSet, DimVec};
-use sunstone_mapping::MappingLevel;
+use sunstone_mapping::{Mapping, MappingLevel};
 
 use crate::factors::{divide, multiply, quot, sorted_divisors};
 use crate::ordering::OrderingCandidate;
@@ -18,17 +18,189 @@ use crate::tiling::enumerate_tiles_cached;
 use crate::unrolling::{enumerate_unrollings_cached, principle_excluded_dims};
 use crate::IntraOrder;
 
+use super::beam::MappingKey;
 use super::estimate;
 use super::stats::SearchStats;
-use super::{PartialState, SearchContext};
+use super::{BeamState, SearchContext};
+
+/// One child of a beam state, held as a delta on its parent: the stage's
+/// decision, the remaining quotas, the estimate, and the exact key of the
+/// completed mapping. Nothing here lives on the heap (for workloads of up
+/// to eight dimensions and keys within the inline buffer); only the
+/// survivors of `select` become [`Mapping`]s
+/// ([`StageOut::materialize`]).
+#[derive(Debug, Clone)]
+pub(crate) struct Candidate {
+    /// Index of the beam state this candidate was expanded from.
+    /// Candidates of one parent are contiguous and share every level
+    /// decided before the current stage, which is what lets estimation
+    /// memoize the decided-prefix cost per parent.
+    pub(crate) parent: usize,
+    /// Temporal factors the stage writes at [`StageLayout::temporal_pos`].
+    pub(crate) temporal: DimVec,
+    /// Combined unroll the stage spreads over [`StageLayout::gap`].
+    pub(crate) unroll: DimVec,
+    /// Index into [`StageOut::orderings`] of the order the stage writes at
+    /// [`StageLayout::order_pos`] (`None`: no level above to order).
+    pub(crate) ordering: Option<u32>,
+    /// Remaining per-dimension quotient.
+    pub(crate) quotas: DimVec,
+    /// Objective estimate of the completed mapping.
+    pub(crate) estimate: f64,
+    /// Key of the completed mapping: dedup identity and cache key.
+    pub(crate) key: MappingKey,
+}
+
+/// Where one stage's decision lands in a mapping; fixed per stage and
+/// provided by the walk direction
+/// ([`LevelPass::layout`](super::compose::LevelPass::layout)).
+pub(crate) struct StageLayout<'c> {
+    /// The memory whose temporal factors the stage decides.
+    pub(crate) temporal_pos: usize,
+    /// The fabrics whose unrolls the stage decides.
+    pub(crate) gap: &'c [usize],
+    /// How the stage's unroll lands on the gap's fabrics.
+    pub(crate) unroll: UnrollPlacement,
+    /// The memory whose loop order the stage decides, if any.
+    pub(crate) order_pos: Option<usize>,
+    /// Where estimation places the undecided remainder.
+    pub(crate) completion_pos: usize,
+    /// The outermost position every child shares with its parent, when
+    /// the parent's mapping carries a priceable prefix.
+    pub(crate) prefix_boundary: Option<usize>,
+}
+
+/// How a stage's unroll is written onto the fabrics of its gap.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum UnrollPlacement {
+    /// Split over the fabrics, innermost first, capped by each one's units.
+    Distribute,
+    /// The same factors on every fabric.
+    Repeat,
+}
+
+impl StageLayout<'_> {
+    /// Writes one decision into `m`: the unroll over the gap's fabrics,
+    /// the temporal factors, and the loop order. Every call overwrites the
+    /// same positions, so one scratch mapping serves all children of a
+    /// parent.
+    fn apply(
+        &self,
+        ctx: &SearchContext<'_>,
+        temporal: &[u64],
+        unroll: &[u64],
+        order: Option<&OrderingCandidate>,
+        m: &mut Mapping,
+    ) {
+        let levels = m.levels_mut();
+        match self.unroll {
+            UnrollPlacement::Distribute => {
+                distribute_unroll(ctx, self.gap, unroll, |pos, assigned| {
+                    levels[pos].factors_mut().copy_from_slice(assigned);
+                })
+            }
+            UnrollPlacement::Repeat => {
+                for &pos in self.gap {
+                    levels[pos].factors_mut().copy_from_slice(unroll);
+                }
+            }
+        }
+        levels[self.temporal_pos].factors_mut().copy_from_slice(temporal);
+        if let (Some(pos), Some(o)) = (self.order_pos, order) {
+            if let MappingLevel::Temporal(t) = &mut levels[pos] {
+                t.order.copy_from_slice(&o.order);
+            }
+        }
+    }
+}
+
+/// One stage's expansion: the candidates, the per-stage ordering table
+/// they index, and where their decisions land.
+pub(crate) struct StageOut<'c> {
+    pub(crate) layout: StageLayout<'c>,
+    /// Every ordering any parent enumerated this stage.
+    pub(crate) orderings: Vec<OrderingCandidate>,
+    pub(crate) cands: Vec<Candidate>,
+    /// The parent being expanded (stamped into each pushed candidate).
+    parent: usize,
+}
+
+impl<'c> StageOut<'c> {
+    /// An empty expansion of a stage laid out as `layout`.
+    pub(crate) fn new(layout: StageLayout<'c>) -> Self {
+        StageOut { layout, orderings: Vec::new(), cands: Vec::new(), parent: 0 }
+    }
+
+    /// Starts expanding beam state `parent`.
+    pub(crate) fn begin(&mut self, parent: usize) {
+        self.parent = parent;
+    }
+
+    fn ordering(&self, id: Option<u32>) -> Option<&OrderingCandidate> {
+        id.map(|i| &self.orderings[i as usize])
+    }
+
+    /// Adds this parent's orderings to the stage table; returns their ids.
+    fn add_orderings(&mut self, orderings: Vec<OrderingCandidate>) -> Vec<Option<u32>> {
+        let first = self.orderings.len() as u32;
+        self.orderings.extend(orderings);
+        (first..self.orderings.len() as u32).map(Some).collect()
+    }
+
+    fn push(&mut self, temporal: DimVec, unroll: &[u64], quotas: DimVec, ordering: Option<u32>) {
+        self.cands.push(Candidate {
+            parent: self.parent,
+            temporal,
+            unroll: DimVec::from_slice(unroll),
+            ordering,
+            quotas,
+            estimate: f64::INFINITY,
+            key: MappingKey::empty(),
+        });
+    }
+
+    /// Encodes every candidate's completed-mapping key. Candidates are
+    /// parent-contiguous, so one scratch copy of each parent's mapping
+    /// takes every child's decision in turn.
+    pub(crate) fn build_keys(&mut self, ctx: &SearchContext<'_>, beam: &[BeamState]) {
+        let mut scratch = ctx.base.clone();
+        let mut buf = Vec::new();
+        let mut current = usize::MAX;
+        for c in &mut self.cands {
+            if c.parent != current {
+                current = c.parent;
+                scratch.clone_from(&beam[current].mapping);
+            }
+            let order = c.ordering.map(|i| &self.orderings[i as usize]);
+            self.layout.apply(ctx, &c.temporal, &c.unroll, order, &mut scratch);
+            c.key =
+                MappingKey::of_completed(&scratch, self.layout.completion_pos, &c.quotas, &mut buf);
+        }
+    }
+
+    /// The beam state of candidate `i`: its parent's mapping with the
+    /// stage's decision applied.
+    pub(crate) fn materialize(
+        &self,
+        ctx: &SearchContext<'_>,
+        beam: &[BeamState],
+        i: usize,
+    ) -> BeamState {
+        let c = &self.cands[i];
+        let ordering = self.ordering(c.ordering);
+        let mut mapping = beam[c.parent].mapping.clone();
+        self.layout.apply(ctx, &c.temporal, &c.unroll, ordering, &mut mapping);
+        BeamState { mapping, quotas: c.quotas.clone(), ordering_here: ordering.cloned() }
+    }
+}
 
 /// One bottom-up stage: unrollings below memory `stage`, tile at memory
 /// `stage`, ordering at memory `stage + 1`.
 pub(crate) fn bottom_up_expand(
     ctx: &SearchContext<'_>,
-    state: &PartialState,
+    state: &BeamState,
     stage: usize,
-    out: &mut Vec<PartialState>,
+    out: &mut StageOut<'_>,
     stats: &mut SearchStats,
 ) {
     let mem_pos = ctx.mems[stage];
@@ -36,17 +208,31 @@ pub(crate) fn bottom_up_expand(
     let ndims = ctx.workload.num_dims();
     let base = state.mapping.resident_tile(mem_pos, ndims);
 
-    let orderings: Vec<Option<OrderingCandidate>> = if last_stage {
+    let orderings: Vec<Option<u32>> = if last_stage {
         // The outermost memory has no level above to order.
         vec![None]
     } else {
-        orderings_for(ctx, in_play_dims(ctx, state), stage, stats).into_iter().map(Some).collect()
+        let found = orderings_for(ctx, in_play_dims(ctx, state), stage, stats);
+        out.add_orderings(found)
+    };
+    // Temporal factors at this memory and the quotas left above it, for a
+    // `growth` over the base and an `unroll` placed below this memory.
+    let decide = |growth: &[u64], unroll: &[u64]| {
+        let mut quotas = state.quotas.clone();
+        let mut temporal = DimVec::ones(ndims);
+        for d in 0..ndims {
+            let f = if last_stage { state.quotas[d] / unroll[d] } else { growth[d] };
+            temporal[d] = f;
+            quotas[d] /= f * unroll[d];
+        }
+        (temporal, quotas)
     };
 
     match ctx.config.intra_order {
         IntraOrder::OrderTileUnroll => {
             let reserve = spatial_reserve(ctx, stage, true, &state.quotas);
-            for ordering in &orderings {
+            for &oid in &orderings {
+                let ordering = out.ordering(oid);
                 let tiles =
                     tiles_for(ctx, state, stage, &base, &state.quotas, reserve, ordering, stats);
                 for tile in &tiles {
@@ -54,7 +240,8 @@ pub(crate) fn bottom_up_expand(
                     let tile_quotas = divide(&state.quotas, &growth);
                     let unrolls = unrolls_for(ctx, state, stage, tile, &tile_quotas, stats);
                     for u in &unrolls {
-                        out.push(make_child(ctx, state, stage, &growth, u, ordering));
+                        let (temporal, quotas) = decide(&growth, u);
+                        out.push(temporal, u, quotas, oid);
                     }
                 }
             }
@@ -65,12 +252,14 @@ pub(crate) fn bottom_up_expand(
             for u in &unrolls {
                 let u_quotas = divide(&state.quotas, u);
                 let base_u = multiply(&base, u);
-                for ordering in &orderings {
+                for &oid in &orderings {
+                    let ordering = out.ordering(oid);
                     let tiles =
                         tiles_for(ctx, state, stage, &base_u, &u_quotas, reserve, ordering, stats);
                     for tile in &tiles {
                         let growth = quot(tile, &base_u);
-                        out.push(make_child(ctx, state, stage, &growth, u, ordering));
+                        let (temporal, quotas) = decide(&growth, u);
+                        out.push(temporal, u, quotas, oid);
                     }
                 }
             }
@@ -81,7 +270,7 @@ pub(crate) fn bottom_up_expand(
             let reserve = spatial_reserve(ctx, stage, true, &state.quotas);
             let union_allowed = orderings
                 .iter()
-                .flatten()
+                .filter_map(|&oid| out.ordering(oid))
                 .map(|o| tile_allowed_dims(ctx, o))
                 .fold(DimSet::EMPTY, DimSet::union);
             let tiles = tiles_with_allowed(
@@ -99,8 +288,9 @@ pub(crate) fn bottom_up_expand(
                 let tile_quotas = divide(&state.quotas, &growth);
                 let unrolls = unrolls_for(ctx, state, stage, tile, &tile_quotas, stats);
                 for u in &unrolls {
-                    for ordering in &orderings {
-                        out.push(make_child(ctx, state, stage, &growth, u, ordering));
+                    for &oid in &orderings {
+                        let (temporal, quotas) = decide(&growth, u);
+                        out.push(temporal, u, quotas, oid);
                     }
                 }
             }
@@ -112,19 +302,21 @@ pub(crate) fn bottom_up_expand(
 /// below it, resident tile at memory `stage`.
 pub(crate) fn top_down_expand(
     ctx: &SearchContext<'_>,
-    state: &PartialState,
+    state: &BeamState,
     stage: usize,
-    out: &mut Vec<PartialState>,
+    out: &mut StageOut<'_>,
     stats: &mut SearchStats,
 ) {
     let ndims = ctx.workload.num_dims();
-    let orderings = orderings_for(ctx, in_play_dims(ctx, state), stage, stats);
-    for ordering in orderings {
-        let gap = &ctx.lower_spatial[stage + 1];
-        let unrolls = top_down_unrolls(ctx, gap, &ordering, state, stage, stats);
+    let found = orderings_for(ctx, in_play_dims(ctx, state), stage, stats);
+    let gap = &ctx.lower_spatial[stage + 1];
+    for oid in out.add_orderings(found) {
+        let ordering = out.ordering(oid).expect("a top-down stage always orders");
+        let unrolls = top_down_unrolls(ctx, gap, ordering, state, stage, stats);
+        let ordering_allowed = tile_allowed_dims(ctx, ordering);
         for u in &unrolls {
             let mut q = divide(&state.quotas, u);
-            let mut allowed = tile_allowed_dims(ctx, &ordering);
+            let mut allowed = ordering_allowed;
             // User tile pins on this memory seed the enumeration base,
             // exactly as in `tiles_with_allowed` on the bottom-up path.
             let lc = ctx.constraints.at(ctx.mems[stage]);
@@ -174,14 +366,18 @@ pub(crate) fn top_down_expand(
                 tiles = outcome.tiles.iter().collect();
             }
             for tile in tiles {
-                out.push(make_top_down_child(ctx, state, stage, tile, u, &ordering));
+                // Factors at the upper memory = remaining / (tile × unroll);
+                // the tile becomes the quota left below.
+                let temporal: DimVec =
+                    (0..ndims).map(|d| state.quotas[d] / (tile[d] * u[d])).collect();
+                out.push(temporal, u, tile.clone(), oid);
             }
         }
     }
 }
 
 /// Dimensions with remaining quota — the only ones worth ordering.
-fn in_play_dims(ctx: &SearchContext<'_>, state: &PartialState) -> DimSet {
+fn in_play_dims(ctx: &SearchContext<'_>, state: &BeamState) -> DimSet {
     ctx.workload.dim_ids().filter(|d| state.quotas[d.index()] > 1).collect()
 }
 
@@ -290,17 +486,17 @@ fn spatial_reserve(
 #[allow(clippy::too_many_arguments)]
 fn tiles_for(
     ctx: &SearchContext<'_>,
-    state: &PartialState,
+    state: &BeamState,
     stage: usize,
     base: &[u64],
     quotas: &[u64],
     reserve: u64,
-    ordering: &Option<OrderingCandidate>,
+    ordering: Option<&OrderingCandidate>,
     stats: &mut SearchStats,
 ) -> Vec<DimVec> {
     if stage == ctx.mems.len() - 1 {
-        // DRAM: the remainder is placed by `make_child`; the "tile" is the
-        // base itself.
+        // DRAM: the remainder is placed by the stage decision; the "tile"
+        // is the base itself.
         return vec![DimVec::from_slice(base)];
     }
     let all = DimSet::first_n(ctx.workload.num_dims());
@@ -313,11 +509,8 @@ fn tiles_for(
     // that fabric pairs with the ordering chosen at the *previous* stage
     // (`state.ordering_here`); otherwise the nearest future fabric pairs
     // with the ordering being chosen now.
-    let governing = if ctx.lower_spatial[stage].is_empty() {
-        ordering.as_ref()
-    } else {
-        state.ordering_here.as_ref()
-    };
+    let governing =
+        if ctx.lower_spatial[stage].is_empty() { ordering } else { state.ordering_here.as_ref() };
     let mut unrollable = match governing {
         Some(o) => all.difference(unroll_excluded(ctx, o)),
         None => all,
@@ -387,6 +580,20 @@ fn tiles_with_allowed(
         stats.level_mut(stage).tiling.record(hit.explored as u64, hit.tiles.len() as u64);
         return hit.tiles;
     }
+    // The parallelism headroom a tile leaves is Π quotas[d] / growth[d]
+    // over the unrollable dimensions, with growth = tile / base. Every
+    // growth divides its quota, so `headroom >= need` is exactly
+    // `Π quotas·base >= need · Π tile` — no division per probe. The
+    // products saturate on degenerate extents, which only admits more
+    // tiles (capacity is still checked exactly by `fits_mem`).
+    let mut room: u128 = 1;
+    let mut quota_product: u128 = 1;
+    for d in unrollable.iter() {
+        let i = d.index();
+        room = room.saturating_mul(u128::from(quotas[i]) * u128::from(base[i]));
+        quota_product = quota_product.saturating_mul(u128::from(quotas[i]));
+    }
+    let need = u128::from(reserve).min(quota_product);
     let outcome = enumerate_tiles_cached(
         &base,
         &quotas,
@@ -401,16 +608,10 @@ fn tiles_with_allowed(
             if ctx.cancelled() {
                 return false;
             }
-            let headroom: u128 = unrollable
+            let spent = unrollable
                 .iter()
-                .map(|d| {
-                    let i = d.index();
-                    u128::from(quotas[i] / (tile[i] / base[i]))
-                })
-                .product();
-            headroom
-                >= u128::from(reserve)
-                    .min(unrollable.iter().map(|d| u128::from(quotas[d.index()])).product())
+                .fold(need, |acc, d| acc.saturating_mul(u128::from(tile[d.index()])));
+            spent <= room
                 && lc.tile_caps.iter().all(|&(d, cap)| tile[d] <= cap)
                 && ctx.fits_mem(mem_pos, tile)
         },
@@ -477,7 +678,7 @@ fn tile_allowed_dims(ctx: &SearchContext<'_>, ordering: &OrderingCandidate) -> D
 /// product vector (our architectures have at most one fabric per gap).
 fn unrolls_for(
     ctx: &SearchContext<'_>,
-    state: &PartialState,
+    state: &BeamState,
     stage: usize,
     resident_with_tile: &[u64],
     quotas: &[u64],
@@ -653,7 +854,7 @@ fn top_down_unrolls(
     ctx: &SearchContext<'_>,
     gap: &[usize],
     ordering: &OrderingCandidate,
-    state: &PartialState,
+    state: &BeamState,
     stage: usize,
     stats: &mut SearchStats,
 ) -> Vec<DimVec> {
@@ -729,26 +930,19 @@ fn top_down_unrolls(
     results
 }
 
-/// Builds the child state for one (growth, unroll, ordering) choice;
-/// `growth` is the vector of temporal tiling factors for this stage's
-/// memory (the tile divided by everything below it, unroll included).
-fn make_child(
+/// Spreads a combined unroll over a gap's fabrics, calling `set` with
+/// each fabric's assignment. With a single fabric this is a direct
+/// assignment; with several, factors go to the innermost fabric first,
+/// capped by its unit count.
+fn distribute_unroll(
     ctx: &SearchContext<'_>,
-    state: &PartialState,
-    stage: usize,
-    growth: &[u64],
+    gap: &[usize],
     unroll: &[u64],
-    ordering: &Option<OrderingCandidate>,
-) -> PartialState {
-    let mem_pos = ctx.mems[stage];
-    let last_stage = stage == ctx.mems.len() - 1;
-    let ndims = ctx.workload.num_dims();
-    let mut mapping = state.mapping.clone();
-    // Distribute the unroll over the gap's fabrics. With a single fabric
-    // this is a direct assignment; with several, factors go to the
-    // innermost fabric first, capped by its unit count.
+    mut set: impl FnMut(usize, &[u64]),
+) {
+    let ndims = unroll.len();
     let mut remaining_unroll = DimVec::from_slice(unroll);
-    for &pos in &ctx.lower_spatial[stage] {
+    for &pos in gap {
         let fabric = ctx.arch.level(LevelId(pos)).as_spatial().expect("spatial level");
         let mut assigned = DimVec::ones(ndims);
         let mut used = 1u64;
@@ -773,65 +967,6 @@ fn make_child(
             used *= f;
             remaining_unroll[d] /= f;
         }
-        if let MappingLevel::Spatial(s) = &mut mapping.levels_mut()[pos] {
-            s.factors = assigned.to_vec();
-        }
-    }
-    // Temporal factors at this memory: tile growth over the base, divided
-    // by the unroll placed below this memory.
-    let mut quotas = state.quotas.clone();
-    if let MappingLevel::Temporal(t) = &mut mapping.levels_mut()[mem_pos] {
-        for d in 0..ndims {
-            let f = if last_stage { state.quotas[d] / unroll[d] } else { growth[d] };
-            t.factors[d] = f;
-            quotas[d] /= f * unroll[d];
-        }
-    }
-    // Apply the ordering for the next memory level.
-    if let Some(o) = ordering {
-        let next_mem = ctx.mems[stage + 1];
-        if let MappingLevel::Temporal(t) = &mut mapping.levels_mut()[next_mem] {
-            t.order = o.order.clone();
-        }
-    }
-    PartialState {
-        mapping,
-        quotas,
-        ordering_here: ordering.clone(),
-        estimate: f64::INFINITY,
-        parent: 0,
-    }
-}
-
-fn make_top_down_child(
-    ctx: &SearchContext<'_>,
-    state: &PartialState,
-    stage: usize,
-    tile: &[u64],
-    unroll: &[u64],
-    ordering: &OrderingCandidate,
-) -> PartialState {
-    let ndims = ctx.workload.num_dims();
-    let mut mapping = state.mapping.clone();
-    let upper_mem = ctx.mems[stage + 1];
-    // Factors at the upper memory = remaining / (tile × unroll).
-    if let MappingLevel::Temporal(t) = &mut mapping.levels_mut()[upper_mem] {
-        for d in 0..ndims {
-            t.factors[d] = state.quotas[d] / (tile[d] * unroll[d]);
-        }
-        t.order = ordering.order.clone();
-    }
-    // Unrolls in the gap.
-    for &pos in &ctx.lower_spatial[stage + 1] {
-        if let MappingLevel::Spatial(s) = &mut mapping.levels_mut()[pos] {
-            s.factors = unroll.to_vec();
-        }
-    }
-    PartialState {
-        mapping,
-        quotas: DimVec::from_slice(tile),
-        ordering_here: Some(ordering.clone()),
-        estimate: f64::INFINITY,
-        parent: 0,
+        set(pos, &assigned);
     }
 }

@@ -2,20 +2,26 @@
 //! pass per memory level, with the walk direction abstracted as a
 //! [`LevelPass`].
 
+use std::time::Instant;
+
 use sunstone_mapping::MappingLevel;
 
+use super::candidates::{StageLayout, StageOut, UnrollPlacement};
 use super::stats::SearchStats;
-use super::{beam, candidates, estimate, CallControls, PartialState, SearchContext};
+use super::{beam, candidates, estimate, BeamState, CallControls, SearchContext};
 use crate::progress::ProgressEvent;
-use crate::Direction;
 
 /// A direction of the level-by-level walk (Table VI of the paper). Both
 /// directions share [`run_level_search`]; a pass only decides the stage
-/// order, how one beam state expands, and how the final beam turns into
-/// complete mappings.
+/// order, where each stage's decision lands, how one beam state expands,
+/// and how the final beam turns into complete mappings.
 pub(crate) trait LevelPass {
-    /// Direction used when completing partial mappings for estimation.
-    fn direction(&self) -> Direction;
+    /// The memory position where completion places a state's undecided
+    /// remainder.
+    fn completion_pos(&self, ctx: &SearchContext<'_>) -> usize;
+
+    /// Where stage `stage`'s decision lands in a mapping.
+    fn layout<'c>(&self, ctx: &'c SearchContext<'_>, stage: usize) -> StageLayout<'c>;
 
     /// Stage indices in visit order (stage `i` decides memory `mems[i]`).
     fn stages(&self, n_mem: usize) -> Vec<usize>;
@@ -24,15 +30,15 @@ pub(crate) trait LevelPass {
     fn expand(
         &self,
         ctx: &SearchContext<'_>,
-        state: &PartialState,
+        state: &BeamState,
         stage: usize,
-        out: &mut Vec<PartialState>,
+        out: &mut StageOut<'_>,
         stats: &mut SearchStats,
     );
 
     /// Turns the surviving beam into complete mappings after the last
     /// stage.
-    fn finalize(&self, ctx: &SearchContext<'_>, beam: &mut [PartialState]);
+    fn finalize(&self, ctx: &SearchContext<'_>, beam: &mut [BeamState]);
 }
 
 /// The paper's default: innermost memory outward. Partial costs track
@@ -41,8 +47,22 @@ pub(crate) trait LevelPass {
 pub(crate) struct BottomUpPass;
 
 impl LevelPass for BottomUpPass {
-    fn direction(&self) -> Direction {
-        Direction::BottomUp
+    fn completion_pos(&self, ctx: &SearchContext<'_>) -> usize {
+        *ctx.mems.last().expect("at least one memory")
+    }
+
+    /// Unrolls below memory `stage`, temporal factors at memory `stage`,
+    /// ordering at memory `stage + 1`. Every child shares the levels up to
+    /// the previous stage's memory with its parent.
+    fn layout<'c>(&self, ctx: &'c SearchContext<'_>, stage: usize) -> StageLayout<'c> {
+        StageLayout {
+            temporal_pos: ctx.mems[stage],
+            gap: &ctx.lower_spatial[stage],
+            unroll: UnrollPlacement::Distribute,
+            order_pos: ctx.mems.get(stage + 1).copied(),
+            completion_pos: self.completion_pos(ctx),
+            prefix_boundary: stage.checked_sub(1).map(|s| ctx.mems[s]),
+        }
     }
 
     fn stages(&self, n_mem: usize) -> Vec<usize> {
@@ -52,15 +72,15 @@ impl LevelPass for BottomUpPass {
     fn expand(
         &self,
         ctx: &SearchContext<'_>,
-        state: &PartialState,
+        state: &BeamState,
         stage: usize,
-        out: &mut Vec<PartialState>,
+        out: &mut StageOut<'_>,
         stats: &mut SearchStats,
     ) {
         candidates::bottom_up_expand(ctx, state, stage, out, stats);
     }
 
-    fn finalize(&self, _ctx: &SearchContext<'_>, _beam: &mut [PartialState]) {
+    fn finalize(&self, _ctx: &SearchContext<'_>, _beam: &mut [BeamState]) {
         // The last stage already placed the remainder; quotas are all 1.
     }
 }
@@ -71,8 +91,22 @@ impl LevelPass for BottomUpPass {
 pub(crate) struct TopDownPass;
 
 impl LevelPass for TopDownPass {
-    fn direction(&self) -> Direction {
-        Direction::TopDown
+    fn completion_pos(&self, ctx: &SearchContext<'_>) -> usize {
+        ctx.mems[0]
+    }
+
+    /// Temporal factors and ordering at memory `stage + 1`, unrolls in the
+    /// gap below it. Children differ from their parent at the innermost
+    /// memory (the remainder), so there is no shared prefix.
+    fn layout<'c>(&self, ctx: &'c SearchContext<'_>, stage: usize) -> StageLayout<'c> {
+        StageLayout {
+            temporal_pos: ctx.mems[stage + 1],
+            gap: &ctx.lower_spatial[stage + 1],
+            unroll: UnrollPlacement::Repeat,
+            order_pos: Some(ctx.mems[stage + 1]),
+            completion_pos: self.completion_pos(ctx),
+            prefix_boundary: None,
+        }
     }
 
     fn stages(&self, n_mem: usize) -> Vec<usize> {
@@ -85,15 +119,15 @@ impl LevelPass for TopDownPass {
     fn expand(
         &self,
         ctx: &SearchContext<'_>,
-        state: &PartialState,
+        state: &BeamState,
         stage: usize,
-        out: &mut Vec<PartialState>,
+        out: &mut StageOut<'_>,
         stats: &mut SearchStats,
     ) {
         candidates::top_down_expand(ctx, state, stage, out, stats);
     }
 
-    fn finalize(&self, ctx: &SearchContext<'_>, beam: &mut [PartialState]) {
+    fn finalize(&self, ctx: &SearchContext<'_>, beam: &mut [BeamState]) {
         // The frontier resident tile becomes the innermost memory's own
         // loops.
         let m0 = ctx.mems[0];
@@ -124,7 +158,7 @@ pub(crate) enum SearchStop {
 
 /// The outcome of the level walk: the surviving beam plus why it stopped.
 pub(crate) struct SearchRun {
-    pub(crate) beam: Vec<PartialState>,
+    pub(crate) beam: Vec<BeamState>,
     pub(crate) stop: SearchStop,
 }
 
@@ -153,7 +187,7 @@ pub(crate) fn run_level_search(
     stats: &mut SearchStats,
     controls: &CallControls<'_>,
 ) -> SearchRun {
-    let mut beam_states = vec![PartialState::root(ctx)];
+    let mut beam_states = vec![BeamState::root(ctx)];
     for (i, stage) in pass.stages(ctx.mems.len()).into_iter().enumerate() {
         // Breadcrumb for the panic-isolation boundary: a fault caught
         // while this stage runs reports `search: level <stage>`.
@@ -167,7 +201,9 @@ pub(crate) fn run_level_search(
         if let Some(sink) = controls.progress {
             sink.on_event(&ProgressEvent::LevelStarted { stage, beam: beam_states.len() });
         }
-        let mut cands: Vec<PartialState> = Vec::new();
+        // Phase clocks: one `Instant` per phase per stage.
+        let t_enumerate = Instant::now();
+        let mut out = StageOut::new(pass.layout(ctx, stage));
         for parent in 0..beam_states.len() {
             // Bounded-latency controls between parent expansions (a
             // single expansion is bounded by the enumeration caps; the
@@ -180,32 +216,45 @@ pub(crate) fn run_level_search(
             if i > 0 && controls.past_deadline() {
                 return SearchRun { beam: beam_states, stop: SearchStop::DeadlineReached };
             }
-            let from = cands.len();
-            pass.expand(ctx, &beam_states[parent], stage, &mut cands, stats);
-            // Stamp each child with its parent index: estimation memoizes
-            // the decided-prefix cost once per parent, and relies on one
-            // parent's children being contiguous (dedup keeps order).
-            for c in &mut cands[from..] {
-                c.parent = parent;
-            }
+            // Children are stamped with their parent index: estimation
+            // memoizes the decided-prefix cost once per parent, and relies
+            // on one parent's children being contiguous (dedup keeps
+            // order).
+            out.begin(parent);
+            pass.expand(ctx, &beam_states[parent], stage, &mut out, stats);
         }
+        let t_build = Instant::now();
+        stats.level_mut(stage).phases.enumerate += t_build - t_enumerate;
         // A cancel that fired inside the enumeration closures can truncate
         // the candidate set; report it as a cancel, never as infeasibility.
         if controls.cancelled() {
             return SearchRun { beam: beam_states, stop: SearchStop::Cancelled };
         }
-        if cands.is_empty() {
+        if out.cands.is_empty() {
             return SearchRun { beam: Vec::new(), stop: SearchStop::Infeasible { stage } };
         }
-        let removed = beam::dedup(&mut cands);
-        stats.level_mut(stage).dedup_removed += removed as u64;
-        let before = cands.len();
+        out.build_keys(ctx, &beam_states);
+        let t_dedup = Instant::now();
+        let removed = beam::dedup(&mut out.cands);
+        let level = stats.level_mut(stage);
+        level.phases.build += t_dedup - t_build;
+        level.dedup_removed += removed as u64;
+        level.phases.dedup += t_dedup.elapsed();
+        let before = out.cands.len();
         let deadline = if i > 0 {
             estimate::DeadlinePolicy::Always
         } else {
             estimate::DeadlinePolicy::AfterFirstClaim
         };
-        match estimate::estimate_all(ctx, pass.direction(), &mut cands, stage, deadline, stats) {
+        match estimate::estimate_all(
+            ctx,
+            out.layout.prefix_boundary,
+            &beam_states,
+            &mut out.cands,
+            stage,
+            deadline,
+            stats,
+        ) {
             estimate::RoundStatus::Done => {}
             estimate::RoundStatus::Cancelled => {
                 return SearchRun { beam: beam_states, stop: SearchStop::Cancelled };
@@ -214,14 +263,17 @@ pub(crate) fn run_level_search(
                 return SearchRun { beam: beam_states, stop: SearchStop::DeadlineReached };
             }
         }
-        beam::select(&mut cands, ctx.config.beam_width, stage, stats);
+        let t_select = Instant::now();
+        let survivors = beam::select(&out.cands, ctx.config.beam_width, stage, stats);
+        beam_states = survivors.iter().map(|&c| out.materialize(ctx, &beam_states, c)).collect();
+        stats.level_mut(stage).phases.select += t_select.elapsed();
         if let Some(sink) = controls.progress {
             let level = &stats.levels[stage];
             let probes = level.cache_hits + level.cache_misses;
             sink.on_event(&ProgressEvent::LevelFinished {
                 stage,
                 candidates: before,
-                beam: cands.len(),
+                beam: beam_states.len(),
                 cache_hit_rate: if probes == 0 {
                     0.0
                 } else {
@@ -230,7 +282,6 @@ pub(crate) fn run_level_search(
                 constraint_filtered: level.constraint.pruned(),
             });
         }
-        beam_states = cands;
     }
     pass.finalize(ctx, &mut beam_states);
     SearchRun { beam: beam_states, stop: SearchStop::Completed }

@@ -5,16 +5,17 @@
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
+use std::time::Instant;
 
 use sunstone_ir::{DimSet, DimVec, FxHashMap};
 use sunstone_mapping::{Mapping, MappingLevel};
-use sunstone_model::{BatchEvalScratch, CostReport, EvalScratch, MappingPrefix};
+use sunstone_model::{BatchEvalScratch, CostReport, CostTotals, EvalScratch, MappingPrefix};
 
-use super::beam::{completed_key, mapping_key};
+use super::beam::MappingKey;
+use super::candidates::Candidate;
 use super::stats::SearchStats;
-use super::{PartialState, SearchContext};
+use super::{BeamState, SearchContext};
 use crate::pool::SliceWriter;
-use crate::Direction;
 
 /// Cumulative statistics of a session's estimate cache and worker pool
 /// ([`Scheduler::cache_stats`](crate::Scheduler::cache_stats)).
@@ -25,9 +26,13 @@ pub struct CacheStats {
     pub hits: u64,
     /// Estimates that had to run the analytic model.
     pub misses: u64,
-    /// Cost reports currently retained (bounded by
+    /// Estimates currently retained (bounded by
     /// [`SunstoneConfig::max_cache_entries`](crate::SunstoneConfig::max_cache_entries)).
     pub entries: usize,
+    /// Approximate bytes the retained estimates occupy: each entry's key
+    /// and totals (plus one hash-table control byte), and any key bytes
+    /// spilled to the heap. The enumeration memos are not counted.
+    pub bytes: usize,
     /// Model evaluations that reused a memoized decided-prefix cost
     /// instead of re-deriving every level from scratch.
     pub prefix_hits: u64,
@@ -127,11 +132,11 @@ pub(crate) struct UnrollKey {
 }
 
 /// Everything the session retains for one context fingerprint: memoized
-/// cost reports plus the tile/unrolling enumeration memos, and the LRU
+/// cost totals plus the tile/unrolling enumeration memos, and the LRU
 /// stamp the cache bound evicts by.
 #[derive(Debug, Default)]
 pub(crate) struct CtxEntry {
-    reports: FxHashMap<Vec<u64>, CostReport>,
+    costs: FxHashMap<MappingKey, CostTotals>,
     tiles: FxHashMap<TileKey, TileMemo>,
     unrolls: FxHashMap<UnrollKey, UnrollMemo>,
     /// Logical timestamp of the last estimation round that used this
@@ -139,9 +144,10 @@ pub(crate) struct CtxEntry {
     last_used: u64,
 }
 
-/// The session-lifetime estimate cache: memoized cost reports keyed by
-/// *(context fingerprint, completed-mapping fingerprint)*, plus the
-/// per-context enumeration memos.
+/// The session-lifetime estimate cache: memoized cost totals
+/// (`{energy, delay, EDP}`, not whole reports) keyed by *(context
+/// fingerprint, exact completed-mapping key)*, plus the per-context
+/// enumeration memos.
 ///
 /// The context fingerprint condenses *(workload, architecture, search
 /// configuration)* ([`crate::fingerprint`]), so one map safely serves
@@ -155,7 +161,7 @@ pub(crate) struct CtxEntry {
 ///
 /// The map is shared across worker threads; entries are inserted after
 /// each parallel evaluation round, so the lock is never contended inside
-/// the model. Retained cost reports are bounded by
+/// the model. Retained estimates are bounded by
 /// [`SunstoneConfig::max_cache_entries`](crate::SunstoneConfig::max_cache_entries):
 /// when an insert pushes past the bound, the least-recently-used context
 /// fingerprints are evicted whole (never the context that just inserted).
@@ -164,9 +170,11 @@ pub(crate) struct SessionCache {
     map: Mutex<FxHashMap<u64, CtxEntry>>,
     hits: AtomicU64,
     misses: AtomicU64,
-    /// Retained cost reports, maintained on insert/evict/clear so
-    /// [`stats`](Self::stats) never walks the map under the lock.
+    /// Retained estimates and their approximate bytes, maintained on
+    /// insert/evict/clear so [`stats`](Self::stats) never walks the map
+    /// under the lock.
     entries: AtomicUsize,
+    bytes: AtomicUsize,
     /// Logical clock behind every `CtxEntry::last_used` stamp.
     tick: AtomicU64,
     prefix_hits: AtomicU64,
@@ -203,8 +211,10 @@ impl SessionCache {
     pub(crate) fn evict_context(&self, fp: u64) {
         let mut map = self.lock_map();
         map.remove(&fp);
-        let total = map.values().map(|e| e.reports.len()).sum();
+        let total = map.values().map(|e| e.costs.len()).sum();
+        let bytes = map.values().map(CtxEntry::bytes).sum();
         self.entries.store(total, Ordering::Relaxed);
+        self.bytes.store(bytes, Ordering::Relaxed);
     }
 
     pub(crate) fn stats(&self) -> CacheStats {
@@ -212,6 +222,7 @@ impl SessionCache {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             entries: self.entries.load(Ordering::Relaxed),
+            bytes: self.bytes.load(Ordering::Relaxed),
             prefix_hits: self.prefix_hits.load(Ordering::Relaxed),
             batches: self.batches.load(Ordering::Relaxed),
             batched: self.batched.load(Ordering::Relaxed),
@@ -225,6 +236,7 @@ impl SessionCache {
     pub(crate) fn clear(&self) {
         self.lock_map().clear();
         self.entries.store(0, Ordering::Relaxed);
+        self.bytes.store(0, Ordering::Relaxed);
         self.hits.store(0, Ordering::Relaxed);
         self.misses.store(0, Ordering::Relaxed);
         self.prefix_hits.store(0, Ordering::Relaxed);
@@ -233,19 +245,42 @@ impl SessionCache {
     }
 
     /// Evicts whole least-recently-used contexts (never `keep`) until the
-    /// retained reports fit `max` again or only `keep` is left.
+    /// retained estimates fit `max` again or only `keep` is left.
     fn evict_lru(&self, map: &mut FxHashMap<u64, CtxEntry>, max: usize, keep: u64) {
         while self.entries.load(Ordering::Relaxed) > max {
             let victim = map
                 .iter()
-                .filter(|(fp, e)| **fp != keep && !e.reports.is_empty())
+                .filter(|(fp, e)| **fp != keep && !e.costs.is_empty())
                 .min_by_key(|(_, e)| e.last_used)
                 .map(|(fp, _)| *fp);
             let Some(fp) = victim else { break };
             if let Some(e) = map.remove(&fp) {
-                self.entries.fetch_sub(e.reports.len(), Ordering::Relaxed);
+                self.entries.fetch_sub(e.costs.len(), Ordering::Relaxed);
+                self.bytes.fetch_sub(e.bytes(), Ordering::Relaxed);
             }
         }
+    }
+
+    /// Inserts one estimate into `e`, keeping the entry and byte counters
+    /// in step; returns whether the key was new.
+    fn insert_into(&self, e: &mut CtxEntry, key: MappingKey, totals: CostTotals) -> bool {
+        let bytes = entry_bytes(&key);
+        let new = e.costs.insert(key, totals).is_none();
+        if new {
+            self.bytes.fetch_add(bytes, Ordering::Relaxed);
+        }
+        new
+    }
+}
+
+/// Approximate retained bytes of one estimate-cache entry.
+fn entry_bytes(key: &MappingKey) -> usize {
+    std::mem::size_of::<(MappingKey, CostTotals)>() + 1 + key.spilled_bytes()
+}
+
+impl CtxEntry {
+    fn bytes(&self) -> usize {
+        self.costs.keys().map(entry_bytes).sum()
     }
 }
 
@@ -269,12 +304,12 @@ impl<'s> EstimateCache<'s> {
         EstimateCache { enabled, ctx_fp, max_entries, session }
     }
 
-    fn lookup(&self, key: &[u64]) -> Option<CostReport> {
+    fn lookup(&self, key: &MappingKey) -> Option<CostTotals> {
         if !self.enabled {
             return None;
         }
         let found =
-            self.session.lock_map().get(&self.ctx_fp).and_then(|e| e.reports.get(key)).cloned();
+            self.session.lock_map().get(&self.ctx_fp).and_then(|e| e.costs.get(key)).copied();
         match &found {
             Some(_) => self.session.hits.fetch_add(1, Ordering::Relaxed),
             None => self.session.misses.fetch_add(1, Ordering::Relaxed),
@@ -282,7 +317,7 @@ impl<'s> EstimateCache<'s> {
         found
     }
 
-    fn insert(&self, key: Vec<u64>, report: CostReport) {
+    fn insert(&self, key: MappingKey, totals: CostTotals) {
         if !self.enabled {
             return;
         }
@@ -290,7 +325,7 @@ impl<'s> EstimateCache<'s> {
         let tick = self.session.tick.fetch_add(1, Ordering::Relaxed) + 1;
         let e = guard.entry(self.ctx_fp).or_default();
         e.last_used = tick;
-        if e.reports.insert(key, report).is_none() {
+        if self.session.insert_into(e, key, totals) {
             let total = self.session.entries.fetch_add(1, Ordering::Relaxed) + 1;
             if total > self.max_entries {
                 self.session.evict_lru(&mut guard, self.max_entries, self.ctx_fp);
@@ -328,24 +363,14 @@ impl<'s> EstimateCache<'s> {
     }
 }
 
-/// The memory position where [`complete`] places a state's remainder.
-fn completion_pos(ctx: &SearchContext<'_>, direction: Direction) -> usize {
-    match direction {
-        Direction::BottomUp => *ctx.mems.last().expect("at least one memory"),
-        Direction::TopDown => ctx.mems[0],
-    }
-}
-
-/// Completes a partial state into a structurally valid mapping: bottom-up
-/// places the remaining quotient at the outermost memory; top-down places
-/// the unresolved resident tile at the innermost memory.
-pub(crate) fn complete(
-    ctx: &SearchContext<'_>,
-    state: &PartialState,
-    direction: Direction,
-) -> Mapping {
+/// Completes a truncated beam state into a structurally valid mapping
+/// (the best-so-far contract) by multiplying its remaining quotas into
+/// memory `pos` ([`LevelPass::completion_pos`]: bottom-up the outermost
+/// memory, top-down the innermost).
+///
+/// [`LevelPass::completion_pos`]: super::compose::LevelPass::completion_pos
+pub(crate) fn complete(state: &BeamState, pos: usize) -> Mapping {
     let mut m = state.mapping.clone();
-    let pos = completion_pos(ctx, direction);
     if let MappingLevel::Temporal(t) = &mut m.levels_mut()[pos] {
         for (f, q) in t.factors.iter_mut().zip(&state.quotas) {
             *f *= q;
@@ -360,6 +385,25 @@ thread_local! {
     static SCRATCH: RefCell<EvalScratch> = RefCell::new(EvalScratch::default());
     /// Per-worker SoA batch scratch, likewise session-lived.
     static BATCH_SCRATCH: RefCell<BatchEvalScratch> = RefCell::new(BatchEvalScratch::default());
+    /// Per-worker mappings a claim's misses are decoded into, one per
+    /// claim slot; overwritten in place, so pricing allocates nothing per
+    /// candidate.
+    static MAPPINGS: RefCell<Vec<Mapping>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Does `m` have `base`'s layout (level kinds and dimension counts), so a
+/// key of `base`'s problem decodes into it?
+fn same_layout(m: &Mapping, base: &Mapping) -> bool {
+    m.levels().len() == base.levels().len()
+        && m.levels().iter().zip(base.levels()).all(|(a, b)| match (a, b) {
+            (MappingLevel::Temporal(a), MappingLevel::Temporal(b)) => {
+                a.factors.len() == b.factors.len()
+            }
+            (MappingLevel::Spatial(a), MappingLevel::Spatial(b)) => {
+                a.factors.len() == b.factors.len()
+            }
+            _ => false,
+        })
 }
 
 /// Indices per pool claim in the estimate round. One atomic claim covers
@@ -405,13 +449,15 @@ pub(crate) enum RoundStatus {
     DeadlineReached,
 }
 
-/// Completes and estimates every candidate.
+/// Estimates every candidate.
 ///
-/// The cache is probed on the calling thread with a reused scratch key
-/// computed straight from the partial state — no clone-and-complete per
-/// probe. Only the misses materialize a completed mapping and go through
-/// the model, distributed over the session's persistent worker pool (no
-/// per-round thread spawns; each worker reuses one evaluation scratch).
+/// The cache is probed on the calling thread, under one lock, with each
+/// candidate's exact completed-mapping key — built at expansion, so the
+/// probe neither clones nor completes anything. Only the misses go
+/// through the model, distributed over the session's persistent worker
+/// pool (no per-round thread spawns): each worker decodes its claim's
+/// keys into reused scratch mappings and prices them, so nothing is
+/// allocated per candidate.
 ///
 /// Bottom-up stages past the first price each miss *prefix-incrementally*:
 /// all candidates expanded from one beam state share the decided levels
@@ -419,17 +465,18 @@ pub(crate) enum RoundStatus {
 /// built once per parent ([`CostModel::prefix_of`]) and each candidate
 /// only derives the delta of its frontier and completion levels. The
 /// composition is bit-identical to the monolithic evaluation (see the
-/// `prefix` property tests), so cached reports are unaffected.
+/// `prefix` property tests), so cached estimates are unaffected.
 ///
 /// The pool claims contiguous *chunks* of misses ([`ESTIMATE_CHUNK`] per
 /// atomic claim), and every maximal same-prefix run inside a claim — a
 /// run of one included — is priced through the structure-of-arrays batch
-/// evaluator ([`CostModel::evaluate_prefixed_batch`]) in one call:
+/// evaluator ([`CostModel::evaluate_prefixed_batch_totals`]) in one call:
 /// branch-free inner loops over per-candidate columns instead of a full
 /// per-candidate model walk. Stages with no shared prefix (the first
 /// bottom-up stage, and every top-down stage) use the monolithic
 /// evaluator. Both are bit-identical (see the `batch` property tests), so
-/// the dispatch choice never changes a result.
+/// the dispatch choice never changes a result. Either way only the
+/// `{energy, delay, EDP}` totals are built — no per-level breakdown.
 ///
 /// Results are written back by candidate index, so the outcome is
 /// identical for any thread count.
@@ -448,37 +495,35 @@ pub(crate) enum RoundStatus {
 /// deterministic, so later calls may reuse them).
 ///
 /// [`CostModel::prefix_of`]: sunstone_model::CostModel::prefix_of
-/// [`CostModel::evaluate_prefixed_batch`]: sunstone_model::CostModel::evaluate_prefixed_batch
+/// [`CostModel::evaluate_prefixed_batch_totals`]: sunstone_model::CostModel::evaluate_prefixed_batch_totals
 pub(crate) fn estimate_all(
     ctx: &SearchContext<'_>,
-    direction: Direction,
-    candidates: &mut [PartialState],
+    prefix_boundary: Option<usize>,
+    beam: &[BeamState],
+    candidates: &mut [Candidate],
     stage: usize,
     deadline: DeadlinePolicy,
     stats: &mut SearchStats,
 ) -> RoundStatus {
     faultpoint!("estimate.round");
+    let t_probe = Instant::now();
     stats.probed += candidates.len() as u64;
     let objective = ctx.config.objective;
-    let pos = completion_pos(ctx, direction);
     let cache = &ctx.cache;
     let mut hits = 0u64;
-    // (candidate index, cache key) per cache miss.
-    let mut misses: Vec<(usize, Vec<u64>)> = Vec::new();
-    let mut key = Vec::new();
+    // Candidate index per cache miss.
+    let mut misses: Vec<usize> = Vec::new();
     {
-        // One lock acquisition covers every probe of the round, and hits
-        // read the memoized report in place — no per-probe clone.
+        // One lock acquisition covers every probe of the round.
         let guard = cache.enabled.then(|| cache.session.lock_map());
         let per_ctx = guard.as_ref().and_then(|g| g.get(&cache.ctx_fp));
-        for (i, state) in candidates.iter_mut().enumerate() {
-            completed_key(&state.mapping, pos, &state.quotas, &mut key);
-            match per_ctx.and_then(|e| e.reports.get(key.as_slice())) {
-                Some(report) => {
-                    state.estimate = objective.of(report);
+        for (i, c) in candidates.iter_mut().enumerate() {
+            match per_ctx.and_then(|e| e.costs.get(&c.key)) {
+                Some(totals) => {
+                    c.estimate = objective.of_totals(totals);
                     hits += 1;
                 }
-                None => misses.push((i, std::mem::take(&mut key))),
+                None => misses.push(i),
             }
         }
     }
@@ -486,24 +531,23 @@ pub(crate) fn estimate_all(
         cache.session.hits.fetch_add(hits, Ordering::Relaxed);
         cache.session.misses.fetch_add(misses.len() as u64, Ordering::Relaxed);
     }
-    let completed: Vec<Mapping> =
-        misses.iter().map(|&(i, _)| complete(ctx, &candidates[i], direction)).collect();
+    let t_model = Instant::now();
 
-    // Prefix memoization: bottom-up, every candidate of one parent shares
-    // the levels up to the previous stage's memory, and completion only
-    // touches the outermost level — strictly above that boundary. Misses
-    // preserve candidate order and candidates are expanded parent by
-    // parent, so each parent's run of misses is contiguous.
-    let boundary = (direction == Direction::BottomUp && stage >= 1).then(|| ctx.mems[stage - 1]);
+    // Prefix memoization: with a boundary (bottom-up), every candidate of
+    // one parent shares the levels up to the boundary with the parent (the
+    // stage decides only positions above it), so the parent's
+    // mapping carries the prefix. Misses preserve candidate order and
+    // candidates are expanded parent by parent, so each parent's run of
+    // misses is contiguous.
     let mut prefixes: Vec<MappingPrefix> = Vec::new();
     let mut group_of: Vec<u32> = Vec::new();
-    if let Some(b) = boundary {
+    if let Some(b) = prefix_boundary {
         let mut last_parent = usize::MAX;
-        for (k, &(i, _)) in misses.iter().enumerate() {
+        for &i in &misses {
             faultpoint!("estimate.prefix");
             let parent = candidates[i].parent;
             if prefixes.is_empty() || parent != last_parent {
-                prefixes.push(ctx.model.prefix_of(&completed[k], b));
+                prefixes.push(ctx.model.prefix_of(&beam[parent].mapping, b));
                 last_parent = parent;
             }
             group_of.push((prefixes.len() - 1) as u32);
@@ -513,7 +557,7 @@ pub(crate) fn estimate_all(
         cache.session.prefix_hits.fetch_add(reused, Ordering::Relaxed);
     }
 
-    let mut reports: Vec<Option<CostReport>> = vec![None; misses.len()];
+    let mut costs: Vec<Option<CostTotals>> = vec![None; misses.len()];
     let round_cancelled = AtomicBool::new(false);
     let round_deadlined = AtomicBool::new(false);
     let round_batches = AtomicU64::new(0);
@@ -527,8 +571,9 @@ pub(crate) fn estimate_all(
         let n_claims = misses.len().div_ceil(ESTIMATE_CHUNK);
         stats.spawns_avoided += ((ctx.pool.workers() + 1).min(n_claims)) as u64;
         let model = &ctx.model;
-        let writer = SliceWriter::new(&mut reports);
-        let (prefixes, group_of, completed) = (&prefixes, &group_of, &completed);
+        let writer = SliceWriter::new(&mut costs);
+        let (prefixes, group_of, misses) = (&prefixes, &group_of, &misses);
+        let candidates: &[Candidate] = candidates;
         let (round_cancelled, round_deadlined) = (&round_cancelled, &round_deadlined);
         let (round_batches, round_batched) = (&round_batches, &round_batched);
         let claims_done = &claims_done;
@@ -550,56 +595,71 @@ pub(crate) fn estimate_all(
                 round_deadlined.store(true, Ordering::Relaxed);
                 return;
             }
-            SCRATCH.with(|cell| {
-                BATCH_SCRATCH.with(|bcell| {
-                    let mut scratch = cell.borrow_mut();
-                    let mut bscratch = bcell.borrow_mut();
-                    let mut k = range.start;
-                    while k < range.end {
-                        let Some(&g) = group_of.get(k) else {
-                            // No shared prefix this stage: monolithic path.
-                            let report = model.evaluate_unchecked_with(&completed[k], &mut scratch);
-                            // SAFETY: claims are disjoint ranges and every
-                            // index is written by its claimant only.
-                            unsafe { writer.write(k, Some(report)) };
-                            k += 1;
-                            continue;
-                        };
-                        // Maximal same-prefix run inside this claim.
-                        let mut end = k + 1;
-                        while end < range.end && group_of[end] == g {
-                            end += 1;
+            SCRATCH.with_borrow_mut(|scratch| {
+                BATCH_SCRATCH.with_borrow_mut(|bscratch| {
+                    MAPPINGS.with_borrow_mut(|maps| {
+                        // Decode this claim's misses into the worker's
+                        // scratch mappings (slot `k - range.start`).
+                        for (slot, &i) in misses[range.clone()].iter().enumerate() {
+                            if slot == maps.len() {
+                                maps.push(ctx.base.clone());
+                            } else if !same_layout(&maps[slot], &ctx.base) {
+                                maps[slot].clone_from(&ctx.base);
+                            }
+                            candidates[i].key.decode_into(&mut maps[slot]);
                         }
-                        round_batches.fetch_add(1, Ordering::Relaxed);
-                        round_batched.fetch_add((end - k) as u64, Ordering::Relaxed);
-                        model.evaluate_prefixed_batch(
-                            &prefixes[g as usize],
-                            &completed[k..end],
-                            &mut bscratch,
-                            |j, report| {
-                                // SAFETY: disjoint claims; `k + j` stays
-                                // inside this run.
-                                unsafe { writer.write(k + j, Some(report)) };
-                            },
-                        );
-                        k = end;
-                    }
+                        let maps = &maps[..range.len()];
+                        let mut k = range.start;
+                        while k < range.end {
+                            let slot = k - range.start;
+                            let Some(&g) = group_of.get(k) else {
+                                // No shared prefix this stage: monolithic
+                                // path.
+                                let totals = model.evaluate_totals_with(&maps[slot], scratch);
+                                // SAFETY: claims are disjoint ranges and
+                                // every index is written by its claimant
+                                // only.
+                                unsafe { writer.write(k, Some(totals)) };
+                                k += 1;
+                                continue;
+                            };
+                            // Maximal same-prefix run inside this claim.
+                            let mut end = k + 1;
+                            while end < range.end && group_of[end] == g {
+                                end += 1;
+                            }
+                            round_batches.fetch_add(1, Ordering::Relaxed);
+                            round_batched.fetch_add((end - k) as u64, Ordering::Relaxed);
+                            model.evaluate_prefixed_batch_totals(
+                                &prefixes[g as usize],
+                                &maps[slot..slot + (end - k)],
+                                bscratch,
+                                |j, totals| {
+                                    // SAFETY: disjoint claims; `k + j`
+                                    // stays inside this run.
+                                    unsafe { writer.write(k + j, Some(totals)) };
+                                },
+                            );
+                            k = end;
+                        }
+                    });
                 });
             });
             claims_done.fetch_add(1, Ordering::Relaxed);
         });
     }
+    let t_publish = Instant::now();
 
     let miss_count = misses.len() as u64;
-    stats.modeled += reports.iter().filter(|r| r.is_some()).count() as u64;
+    stats.modeled += costs.iter().filter(|r| r.is_some()).count() as u64;
     let (round_batches, round_batched) = (round_batches.into_inner(), round_batched.into_inner());
     stats.batches += round_batches;
     stats.batched += round_batched;
     cache.session.batches.fetch_add(round_batches, Ordering::Relaxed);
     cache.session.batched.fetch_add(round_batched, Ordering::Relaxed);
     {
-        // Publish every new report under a single lock acquisition, stamp
-        // the context's LRU clock, and enforce the cache bound.
+        // Publish every new estimate under a single lock acquisition,
+        // stamp the context's LRU clock, and enforce the cache bound.
         let mut guard = cache.enabled.then(|| cache.session.lock_map());
         let mut per_ctx = guard.as_deref_mut().map(|g| {
             let tick = cache.session.tick.fetch_add(1, Ordering::Relaxed) + 1;
@@ -608,13 +668,14 @@ pub(crate) fn estimate_all(
             e
         });
         let mut inserted = 0usize;
-        for ((i, key), report) in misses.into_iter().zip(reports) {
-            match report {
-                Some(report) => {
-                    candidates[i].estimate = objective.of(&report);
+        for (&i, totals) in misses.iter().zip(costs) {
+            let c = &mut candidates[i];
+            match totals {
+                Some(totals) => {
+                    c.estimate = objective.of_totals(&totals);
                     if let Some(e) = per_ctx.as_deref_mut() {
                         faultpoint!("cache.insert");
-                        if e.reports.insert(key, report).is_none() {
+                        if cache.session.insert_into(e, c.key.clone(), totals) {
                             inserted += 1;
                         }
                     }
@@ -622,7 +683,7 @@ pub(crate) fn estimate_all(
                 // Skipped by a mid-round stop: never evaluated, never
                 // published. The caller discards the stage, so the
                 // placeholder estimate is never ranked against real ones.
-                None => candidates[i].estimate = f64::INFINITY,
+                None => c.estimate = f64::INFINITY,
             }
         }
         if inserted > 0 {
@@ -638,6 +699,9 @@ pub(crate) fn estimate_all(
     let level = stats.level_mut(stage);
     level.cache_hits += hits;
     level.cache_misses += miss_count;
+    level.phases.probe += t_model - t_probe;
+    level.phases.model += t_publish - t_model;
+    level.phases.publish += t_publish.elapsed();
     stats.cache_hits += hits;
     stats.cache_misses += miss_count;
 
@@ -650,21 +714,33 @@ pub(crate) fn estimate_all(
     }
 }
 
-/// Evaluates a complete mapping through the estimate cache (the final
-/// top-k re-evaluation: the last stage already estimated these mappings,
-/// so with the cache enabled this is a pure lookup).
+/// Prices a mapping handed in from outside the search (a stored result
+/// being primed): one reference evaluation for the caller's report,
+/// whose totals fill the cache on a miss.
+pub(crate) fn prime_report(ctx: &SearchContext<'_>, mapping: &Mapping) -> CostReport {
+    let report = ctx.model.evaluate_unchecked(mapping);
+    let key = MappingKey::of(mapping);
+    if ctx.cache.lookup(&key).is_none() {
+        ctx.cache.insert(key, report.totals());
+    }
+    report
+}
+
+/// Prices a complete mapping through the estimate cache (the final
+/// ranking: the last stage already estimated these mappings, so with the
+/// cache enabled this is a pure lookup).
 pub(crate) fn evaluate_cached(
     ctx: &SearchContext<'_>,
     mapping: &Mapping,
     stats: &mut SearchStats,
-) -> CostReport {
-    let key = mapping_key(mapping);
-    if let Some(report) = ctx.cache.lookup(&key) {
+) -> CostTotals {
+    let key = MappingKey::of(mapping);
+    if let Some(totals) = ctx.cache.lookup(&key) {
         stats.cache_hits += 1;
-        return report;
+        return totals;
     }
     stats.cache_misses += 1;
-    let report = ctx.model.evaluate_unchecked(mapping);
-    ctx.cache.insert(key, report.clone());
-    report
+    let totals = ctx.model.evaluate_totals_with(mapping, &mut EvalScratch::default());
+    ctx.cache.insert(key, totals);
+    totals
 }

@@ -4,14 +4,16 @@
 //! stage runs the same four-step pipeline over the surviving beam:
 //!
 //! 1. **expand** (`candidates`) — per partial mapping, enumerate the
-//!    orderings × tiles × unrollings the pruning principles admit,
+//!    orderings × tiles × unrollings the pruning principles admit; each
+//!    child is a compact delta on its parent plus the exact key of its
+//!    completed mapping,
 //! 2. **dedup** (`beam`) — drop candidates whose mapping an earlier
 //!    enumeration path already produced,
-//! 3. **estimate** (`estimate`) — complete each candidate and evaluate
-//!    the analytic model, memoized by completed-mapping fingerprint and
-//!    parallelized over the configured worker threads,
+//! 3. **estimate** (`estimate`) — evaluate the analytic model on each
+//!    completed candidate, memoized by that key and parallelized over the
+//!    configured worker threads,
 //! 4. **select** (`beam`) — keep the best `beam_width` candidates (the
-//!    alpha-beta-style cut).
+//!    alpha-beta-style cut); only they become whole mappings.
 //!
 //! The walk direction is a `compose::LevelPass`: `compose::BottomUpPass`
 //! (the paper's default) starts at the innermost memory, where partial
@@ -47,7 +49,7 @@ use crate::SunstoneConfig;
 use estimate::EstimateCache;
 
 pub use estimate::CacheStats;
-pub use stats::{LevelStats, PruneCounter, SearchStats};
+pub use stats::{LevelStats, PhaseTimes, PruneCounter, SearchStats};
 
 /// Per-call controls threaded through the level walk: the wall-clock
 /// deadline, the cooperative cancellation token, and the progress sink.
@@ -117,6 +119,9 @@ pub(crate) struct SearchContext<'a> {
     /// form. Empty (the common case) adds one cheap `is_empty` branch per
     /// enumeration; the free search path is otherwise untouched.
     pub(crate) constraints: ResolvedConstraints,
+    /// The all-ones mapping of this problem: the root beam state, and the
+    /// layout every scratch mapping is checked against.
+    pub(crate) base: Mapping,
 }
 
 impl<'a> SearchContext<'a> {
@@ -174,6 +179,7 @@ impl<'a> SearchContext<'a> {
             ladders: DivisorLadders::new(&workload.dim_sizes()),
             mem_fits,
             constraints,
+            base: streaming_base(workload, arch),
         }
     }
 
@@ -206,41 +212,33 @@ impl<'a> SearchContext<'a> {
     }
 }
 
-/// One partial mapping alive in the beam.
+/// One partial mapping alive in the beam: a survivor of `select`, the
+/// only place the search holds a whole [`Mapping`].
 #[derive(Debug, Clone)]
-pub(crate) struct PartialState {
+pub(crate) struct BeamState {
     pub(crate) mapping: Mapping,
     /// Remaining per-dimension quotient.
     pub(crate) quotas: DimVec,
     /// Ordering chosen for the *current frontier* memory (bottom-up: set
     /// by the previous stage; governs this stage's unrolling principle).
     pub(crate) ordering_here: Option<OrderingCandidate>,
-    /// Objective estimate of the completed mapping.
-    pub(crate) estimate: f64,
-    /// Index of the beam state this candidate was expanded from (set by
-    /// the composition loop). Candidates of one parent share every level
-    /// decided before the current stage, which is what lets estimation
-    /// memoize the decided-prefix cost per parent.
-    pub(crate) parent: usize,
 }
 
-impl PartialState {
+impl BeamState {
     /// The search starting point: nothing decided, the whole problem
     /// still to distribute.
     pub(crate) fn root(ctx: &SearchContext<'_>) -> Self {
-        PartialState {
-            mapping: streaming_base(ctx.workload, ctx.arch),
+        BeamState {
+            mapping: ctx.base.clone(),
             quotas: DimVec::from(ctx.workload.dim_sizes()),
             ordering_here: None,
-            estimate: f64::INFINITY,
-            parent: 0,
         }
     }
 }
 
 /// A mapping with all factors 1 — `Mapping::streaming` puts the problem
 /// at DRAM, which the search does itself at completion time.
-pub(crate) fn streaming_base(workload: &Workload, arch: &ArchSpec) -> Mapping {
+fn streaming_base(workload: &Workload, arch: &ArchSpec) -> Mapping {
     let mut m = Mapping::streaming(workload, arch);
     let last = arch.num_levels() - 1;
     if let MappingLevel::Temporal(t) = &mut m.levels_mut()[last] {

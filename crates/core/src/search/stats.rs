@@ -50,6 +50,53 @@ impl PruneCounter {
     }
 }
 
+/// Wall time of one stage's pipeline phases. Each phase is timed with one
+/// clock read at its start and end per stage, never per candidate.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+pub struct PhaseTimes {
+    /// Expansion, enumeration part: orderings, tiles, and unrollings per
+    /// beam state, and each child's decision arithmetic.
+    pub enumerate: Duration,
+    /// Expansion, child-building part: encoding each child's key from its
+    /// parent's mapping.
+    pub build: Duration,
+    /// Duplicate elimination.
+    pub dedup: Duration,
+    /// Estimate, cache probe: one key lookup per candidate.
+    pub probe: Duration,
+    /// Estimate, model: prefix construction and the parallel pricing of
+    /// every miss.
+    pub model: Duration,
+    /// Estimate, publish: storing the new estimates into the cache.
+    pub publish: Duration,
+    /// Beam cut and materialization of the survivors.
+    pub select: Duration,
+}
+
+impl PhaseTimes {
+    /// Sum of every phase.
+    pub fn total(&self) -> Duration {
+        self.enumerate
+            + self.build
+            + self.dedup
+            + self.probe
+            + self.model
+            + self.publish
+            + self.select
+    }
+
+    /// Accumulates another stage's times into this one.
+    pub fn merge(&mut self, other: &PhaseTimes) {
+        self.enumerate += other.enumerate;
+        self.build += other.build;
+        self.dedup += other.dedup;
+        self.probe += other.probe;
+        self.model += other.model;
+        self.publish += other.publish;
+        self.select += other.select;
+    }
+}
+
 /// Pruning breakdown of one search stage (one memory level).
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct LevelStats {
@@ -85,6 +132,9 @@ pub struct LevelStats {
     pub cache_hits: u64,
     /// Estimates that required a cost-model evaluation at this stage.
     pub cache_misses: u64,
+    /// Where this stage's wall time went, phase by phase.
+    #[serde(default)]
+    pub phases: PhaseTimes,
 }
 
 /// Search statistics of one scheduling run.

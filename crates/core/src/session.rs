@@ -31,7 +31,7 @@ use std::time::{Duration, Instant};
 use sunstone_arch::{ArchSpec, Binding};
 use sunstone_ir::Workload;
 use sunstone_mapping::{Mapping, MappingConstraints, ValidationContext};
-use sunstone_model::CostReport;
+use sunstone_model::{CostReport, CostTotals};
 
 use crate::constraints::ResolvedConstraints;
 use crate::error::ScheduleError;
@@ -622,8 +622,7 @@ impl Scheduler {
             None,
             resolved,
         );
-        let mut stats = SearchStats::default();
-        Ok(estimate::evaluate_cached(&ctx, mapping, &mut stats))
+        Ok(estimate::prime_report(&ctx, mapping))
     }
 
     /// Finds the best mapping of `workload` onto `arch`.
@@ -1024,13 +1023,13 @@ impl Scheduler {
         // A truncated walk leaves quotas undecided; complete each partial
         // state the same way estimation does (best-so-far contract).
         let finals: Vec<Mapping> = if truncated {
-            run.beam.iter().map(|s| estimate::complete(&ctx, s, pass.direction())).collect()
+            run.beam.iter().map(|s| estimate::complete(s, pass.completion_pos(&ctx))).collect()
         } else {
             run.beam.into_iter().map(|s| s.mapping).collect()
         };
 
         let vctx = ValidationContext::new(workload, arch, &binding);
-        let mut valid: Vec<(Mapping, CostReport)> = Vec::new();
+        let mut valid: Vec<(Mapping, CostTotals)> = Vec::new();
         for mapping in finals {
             // Constrained calls additionally check the full mapping
             // against the constraint set — belt and braces over the
@@ -1041,15 +1040,23 @@ impl Scheduler {
             {
                 // The last stage already estimated these mappings, so with
                 // the cache enabled this is a lookup, not a re-evaluation.
-                let report = estimate::evaluate_cached(&ctx, &mapping, &mut stats);
-                valid.push((mapping, report));
+                let totals = estimate::evaluate_cached(&ctx, &mapping, &mut stats);
+                valid.push((mapping, totals));
             }
         }
-        valid.sort_by(|a, b| {
-            self.config.objective.of(&a.1).total_cmp(&self.config.objective.of(&b.1))
-        });
+        let objective = self.config.objective;
+        valid.sort_by(|a, b| objective.of_totals(&a.1).total_cmp(&objective.of_totals(&b.1)));
         valid.dedup_by(|a, b| a.0 == b.0);
         valid.truncate(top_k.max(1));
+        // Only the results handed back get a full report, from the
+        // reference evaluator (bit-identical to the cached totals).
+        let valid: Vec<(Mapping, CostReport)> = valid
+            .into_iter()
+            .map(|(mapping, _)| {
+                let report = ctx.model.evaluate_unchecked(&mapping);
+                (mapping, report)
+            })
+            .collect();
         stats.elapsed = start.elapsed();
         if valid.is_empty() {
             return Err(if truncated {

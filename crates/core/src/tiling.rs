@@ -12,7 +12,7 @@ use std::borrow::Cow;
 use sunstone_ir::{DimSet, DimVec, FxHashSet};
 
 pub use crate::factors::sorted_divisors;
-use crate::factors::{next_divisor, DivisorLadders};
+use crate::factors::DivisorLadders;
 
 /// Result of a tiling-tree enumeration.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -78,37 +78,47 @@ fn enumerate_with_divisors(
     if !fits(base) {
         return TilingOutcome { tiles: Vec::new(), explored: 1 };
     }
-
+    // A node is a ladder position per dimension; `tile` is its resident
+    // tile, edited in place per probe.
+    let factor = |i: usize, p: u64| divisors[i].get(p as usize).copied().unwrap_or(1);
+    let root = DimVec::splat(0, n);
     let mut seen: FxHashSet<DimVec> = FxHashSet::default();
-    let mut stack: Vec<DimVec> = Vec::new();
-    let root = DimVec::ones(n);
     seen.insert(root.clone());
-    stack.push(root);
-
+    let mut stack = vec![root];
     let mut tiles = Vec::new();
     let mut explored = 0usize;
-    let mut tile_buf = DimVec::splat(0, n);
-    while let Some(factors) = stack.pop() {
+    let mut tile = DimVec::from_slice(base);
+    while let Some(node) = stack.pop() {
         explored += 1;
+        for d in allowed.iter() {
+            let i = d.index();
+            // An empty ladder (quota 0) only ever sits at factor 1.
+            tile[i] = base[i] * factor(i, node[i]);
+        }
         let mut any_child_fits = false;
         for d in allowed.iter() {
             let i = d.index();
-            let Some(next) = next_divisor(&divisors[i], factors[i]) else { continue };
-            let mut child = factors.clone();
-            child[i] = next;
-            for (b, (&c, t)) in base.iter().zip(child.iter().zip(tile_buf.iter_mut())) {
-                *t = b * c;
-            }
-            if fits(&tile_buf) {
+            let Some(&next) = divisors[i].get(node[i] as usize + 1) else { continue };
+            let mut child = node.clone();
+            child[i] += 1;
+            // A seen child was admitted when first probed, and `fits` is
+            // pure: no second probe.
+            if seen.contains(&child) {
                 any_child_fits = true;
-                if seen.insert(child.clone()) {
-                    stack.push(child);
-                }
+                continue;
+            }
+            let own = tile[i];
+            tile[i] = base[i] * next;
+            let admitted = fits(&tile);
+            tile[i] = own;
+            if admitted {
+                any_child_fits = true;
+                seen.insert(child.clone());
+                stack.push(child);
             }
         }
         if !any_child_fits || !maximal_only {
-            let tile: DimVec = base.iter().zip(&factors).map(|(b, f)| b * f).collect();
-            tiles.push(tile);
+            tiles.push(tile.clone());
         }
     }
     TilingOutcome { tiles, explored }
@@ -217,6 +227,82 @@ mod tests {
             maximal.tiles.len(),
             all.tiles.len()
         );
+    }
+
+    /// The tiling tree as first written: factor-vector nodes in a hash
+    /// set, the next ladder step found by binary search, and every edge
+    /// probed. The production walk must match it exactly — tiles, their
+    /// order, and `explored`.
+    fn reference(
+        base: &[u64],
+        quota: &[u64],
+        allowed: DimSet,
+        fits: impl Fn(&[u64]) -> bool,
+        maximal_only: bool,
+    ) -> TilingOutcome {
+        if !fits(base) {
+            return TilingOutcome { tiles: Vec::new(), explored: 1 };
+        }
+        let divisors: Vec<Vec<u64>> = quota.iter().map(|&q| sorted_divisors(q)).collect();
+        let mut seen: FxHashSet<Vec<u64>> = FxHashSet::default();
+        let root = vec![1u64; base.len()];
+        seen.insert(root.clone());
+        let mut stack = vec![root];
+        let (mut tiles, mut explored) = (Vec::new(), 0);
+        while let Some(factors) = stack.pop() {
+            explored += 1;
+            let mut any_child_fits = false;
+            for d in allowed.iter() {
+                let i = d.index();
+                let next = match divisors[i].binary_search(&factors[i]) {
+                    Ok(k) => divisors[i].get(k + 1),
+                    Err(k) => divisors[i].get(k),
+                };
+                let Some(&next) = next else { continue };
+                let mut child = factors.clone();
+                child[i] = next;
+                let tile: Vec<u64> = base.iter().zip(&child).map(|(b, c)| b * c).collect();
+                if fits(&tile) {
+                    any_child_fits = true;
+                    if seen.insert(child.clone()) {
+                        stack.push(child);
+                    }
+                }
+            }
+            if !any_child_fits || !maximal_only {
+                tiles.push(base.iter().zip(&factors).map(|(b, f)| b * f).collect());
+            }
+        }
+        TilingOutcome { tiles, explored }
+    }
+
+    #[test]
+    fn walk_matches_the_reference() {
+        // 720720 has 240 divisors and 2^40 has 41.
+        // (base, quota, growing dims, capacity)
+        type Case = (&'static [u64], &'static [u64], &'static [usize], u64);
+        let cases: [Case; 7] = [
+            (&[1, 1], &[1 << 40, 720_720], &[0, 1], 1 << 30),
+            (&[1, 1, 1, 1], &[4, 4, 14, 3], &[0, 2], 8),
+            (&[1; 7], &[128, 128, 28, 28, 3, 3, 16], &[0, 2, 3, 6], 4096),
+            (&[2, 1, 3], &[64, 96, 10], &[0, 1, 2], 5000),
+            (&[1, 1, 1], &[720_720, 720_720, 720_720], &[0, 1, 2], 1 << 14),
+            (&[1, 1, 1, 1], &[720_720, 5040, 0, 720_720], &[0, 1, 2, 3], 1 << 14),
+            (&[1; 8], &[1 << 40, 6, 1 << 40, 12, 1, 2, 3, 1 << 20], &[0, 2, 3, 7], 1 << 16),
+        ];
+        for (base, quota, grow, cap) in cases {
+            let fits = |t: &[u64]| {
+                t.iter()
+                    .fold(0u64, |a, &x| a.saturating_add(x))
+                    .saturating_mul(t.iter().take(2).fold(1u64, |a, &x| a.saturating_mul(x)))
+                    <= cap
+            };
+            for maximal in [true, false] {
+                let want = reference(base, quota, dims(grow), fits, maximal);
+                let got = enumerate_tiles(base, quota, dims(grow), fits, maximal);
+                assert_eq!(got, want, "quota {quota:?}, grow {grow:?}, maximal {maximal}");
+            }
+        }
     }
 
     #[test]

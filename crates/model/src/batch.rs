@@ -35,7 +35,7 @@ use sunstone_arch::{Level, LevelId};
 use sunstone_ir::{DimVec, TensorDesc};
 use sunstone_mapping::{FlatLoop, Mapping};
 
-use crate::cost::{CostModel, CostReport, EvalScratch};
+use crate::cost::{CostModel, CostReport, CostTotals, EvalScratch};
 use crate::counts::{add_crossings, count_pair, TensorLevelCounts};
 use crate::prefix::{count_prefix_pair, flatten_range, CandAgg, LevelCost, MappingPrefix};
 use crate::ModelOptions;
@@ -162,14 +162,61 @@ impl CostModel<'_> {
         scratch: &mut BatchEvalScratch,
         mut emit: impl FnMut(usize, CostReport),
     ) {
-        let n = mappings.len();
-        if n == 0 {
-            return;
+        let stride = self.count_prefixed_batch(prefix, mappings, scratch);
+        for (i, m) in mappings.iter().enumerate() {
+            let report = self.report_from_rows(
+                m,
+                &scratch.per[i * stride..(i + 1) * stride],
+                &scratch.crossings[i * stride..(i + 1) * stride],
+                &mut scratch.eval,
+                true,
+            );
+            emit(i, report);
         }
+    }
+
+    /// [`evaluate_prefixed_batch`](Self::evaluate_prefixed_batch) emitting
+    /// only each candidate's [`CostTotals`] — bit-identical to the
+    /// report's, without building the per-level breakdown. The search
+    /// prices its candidates through this form.
+    pub fn evaluate_prefixed_batch_totals(
+        &self,
+        prefix: &MappingPrefix,
+        mappings: &[Mapping],
+        scratch: &mut BatchEvalScratch,
+        mut emit: impl FnMut(usize, CostTotals),
+    ) {
+        let stride = self.count_prefixed_batch(prefix, mappings, scratch);
+        for (i, m) in mappings.iter().enumerate() {
+            let report = self.report_from_rows(
+                m,
+                &scratch.per[i * stride..(i + 1) * stride],
+                &scratch.crossings[i * stride..(i + 1) * stride],
+                &mut scratch.eval,
+                false,
+            );
+            emit(i, report.totals());
+        }
+    }
+
+    /// Phases 1–3 of a batch: fills `scratch.per` and `scratch.crossings`
+    /// with every candidate's access-count rows and returns the per-candidate
+    /// row stride.
+    fn count_prefixed_batch(
+        &self,
+        prefix: &MappingPrefix,
+        mappings: &[Mapping],
+        scratch: &mut BatchEvalScratch,
+    ) -> usize {
         let arch = self.arch();
         let workload = self.workload();
         let n_levels = arch.num_levels();
         let nt = workload.num_tensors();
+        let stride = n_levels * nt;
+        let n = mappings.len();
+        if n == 0 {
+            return stride;
+        }
         let b = prefix.boundary;
         let n_suffix = n_levels - 1 - b;
         debug_assert_eq!(prefix.ndims, workload.num_dims());
@@ -215,7 +262,6 @@ impl CostModel<'_> {
             }
         }
 
-        let stride = n_levels * nt;
         scratch.per.clear();
         scratch.per.resize(n * stride, TensorLevelCounts::default());
         scratch.crossings.clear();
@@ -275,16 +321,7 @@ impl CostModel<'_> {
             }
         }
 
-        // ---- Phase 4: per-candidate reports ----------------------------
-        for (i, m) in mappings.iter().enumerate() {
-            let report = self.report_from_rows(
-                m,
-                &scratch.per[i * stride..(i + 1) * stride],
-                &scratch.crossings[i * stride..(i + 1) * stride],
-                &mut scratch.eval,
-            );
-            emit(i, report);
-        }
+        stride
     }
 }
 
@@ -519,6 +556,23 @@ mod tests {
                     );
                 });
                 assert_eq!(seen, cands.len());
+                // The totals-only forms share the rows→totals routine, so
+                // they match the reports bit for bit.
+                model.evaluate_prefixed_batch_totals(
+                    &prefix,
+                    &cands,
+                    &mut batch_scratch,
+                    |i, got| {
+                        let want = model.evaluate_unchecked_with(&cands[i], &mut scalar_scratch);
+                        assert_eq!(
+                            want.totals(),
+                            got,
+                            "batch totals diverge at boundary {boundary}"
+                        );
+                        let mono = model.evaluate_totals_with(&cands[i], &mut scalar_scratch);
+                        assert_eq!(want.totals(), mono, "monolithic totals diverge");
+                    },
+                );
             }
         }
     }

@@ -67,6 +67,23 @@ impl CostReport {
     pub fn is_bandwidth_bound(&self) -> bool {
         self.delay_cycles > self.compute_cycles
     }
+
+    /// The report's totals.
+    pub fn totals(&self) -> CostTotals {
+        CostTotals { energy_pj: self.energy_pj, delay_cycles: self.delay_cycles, edp: self.edp }
+    }
+}
+
+/// The three figures of a [`CostReport`] the search ranks by, without the
+/// breakdown: what the search's estimate cache retains per mapping.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct CostTotals {
+    /// Total energy in pJ.
+    pub energy_pj: f64,
+    /// Execution time in cycles.
+    pub delay_cycles: f64,
+    /// Energy-delay product in pJ·cycles.
+    pub edp: f64,
 }
 
 /// Evaluates mappings for one (workload, architecture, binding) triple.
@@ -170,6 +187,21 @@ impl<'a> CostModel<'a> {
         self.report_with(mapping, &counts, scratch)
     }
 
+    /// The totals of [`evaluate_unchecked_with`](Self::evaluate_unchecked_with)
+    /// (bit-identical) without building the per-level breakdown.
+    pub fn evaluate_totals_with(&self, mapping: &Mapping, scratch: &mut EvalScratch) -> CostTotals {
+        let counts = AccessCounts::compute_reusing(
+            self.workload,
+            self.arch,
+            mapping,
+            self.options,
+            &self.chains,
+            &mut scratch.counts,
+        );
+        let (per, crossings) = counts.rows();
+        self.report_from_rows(mapping, per, crossings, scratch, false).totals()
+    }
+
     /// Computes the report from precomputed access counts.
     pub fn report_from_counts(&self, mapping: &Mapping, counts: &AccessCounts) -> CostReport {
         self.report_with(mapping, counts, &mut EvalScratch::default())
@@ -192,19 +224,25 @@ impl<'a> CostModel<'a> {
         scratch: &mut EvalScratch,
     ) -> CostReport {
         let (per, crossings) = counts.rows();
-        self.report_from_rows(mapping, per, crossings, scratch)
+        self.report_from_rows(mapping, per, crossings, scratch, true)
     }
 
     /// [`report_with`](Self::report_with) over raw row-major
     /// `[arch_pos][tensor]` tables — the batch evaluator prices many
     /// candidates into one flat SoA table and reports each candidate from
     /// its row range without assembling per-candidate [`AccessCounts`].
+    ///
+    /// With `breakdown` off the report's `levels` stay empty: the totals
+    /// are the same operations in the same order, so bit-identical, but
+    /// no [`LevelReport`] (and no level-name `String`) is built — the form
+    /// the search prices its candidates with.
     pub(crate) fn report_from_rows(
         &self,
         mapping: &Mapping,
         per: &[crate::TensorLevelCounts],
         crossings: &[f64],
         scratch: &mut EvalScratch,
+        breakdown: bool,
     ) -> CostReport {
         let nt = self.workload.num_tensors();
         let total_ops = self.workload.total_ops() as f64;
@@ -269,13 +307,15 @@ impl<'a> CostModel<'a> {
                         }
                     }
                     energy_pj += level_energy;
-                    levels.push(LevelReport {
-                        name: mem.name.clone(),
-                        arch_pos: pos,
-                        reads,
-                        writes,
-                        energy_pj: level_energy,
-                    });
+                    if breakdown {
+                        levels.push(LevelReport {
+                            name: mem.name.clone(),
+                            arch_pos: pos,
+                            reads,
+                            writes,
+                            energy_pj: level_energy,
+                        });
+                    }
                 }
                 Level::Spatial(s) => {
                     for t in self.workload.tensor_ids() {
